@@ -1,6 +1,7 @@
 #include "core/batch.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <typeinfo>
@@ -38,6 +39,25 @@ Batch_options resolve_batch_options(const Design_artifacts& artifacts,
     return resolved;
 }
 
+namespace {
+
+/// The finite-output invariant at the batch boundary: an estimate with a
+/// non-finite coefficient, fitted value or objective (finite but extreme
+/// inputs, e.g. values near 1e308, overflow inside the solve) is a failed
+/// gene, never a row of NaNs in a result file.
+void require_finite(const Single_cell_estimate& estimate) {
+    const char* what = !all_finite(estimate.coefficients()) ? "coefficients"
+                       : !all_finite(estimate.fitted)       ? "fitted values"
+                       : !std::isfinite(estimate.objective) ? "objective"
+                                                            : nullptr;
+    if (what != nullptr) {
+        throw std::runtime_error(std::string("estimate has non-finite ") + what +
+                                 " (input values too large for double precision?)");
+    }
+}
+
+}  // namespace
+
 Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_series& series,
                            const Vector& lambda_grid, const Batch_options& options) {
     Batch_entry entry;
@@ -49,7 +69,9 @@ Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_ser
                 deconvolver, series, deconv, lambda_grid, options.cv_folds, options.cv_seed);
             deconv.lambda = sel.best_lambda;
         }
-        entry.estimate = deconvolver.estimate(series, deconv);
+        Single_cell_estimate estimate = deconvolver.estimate(series, deconv);
+        require_finite(estimate);
+        entry.estimate = std::move(estimate);
         entry.lambda = deconv.lambda;
     } catch (const std::exception& e) {
         entry.error = labeled_task_error(entry.label, e);

@@ -60,7 +60,9 @@ Batch_options resolve_batch_options(const Design_artifacts& artifacts,
 
 /// Deconvolve one series: per-gene lambda CV (when enabled) plus the
 /// constrained estimate. Failures land in the entry's `error` instead of
-/// throwing — this is the task the serial runner and the parallel engine
+/// throwing; an estimate with a non-finite coefficient, fitted value or
+/// objective is such a failure, so a successful entry is always finite.
+/// This is the task the serial runner and the parallel engine
 /// share, so their per-gene results are identical by construction.
 /// `lambda_grid` must already be resolved (non-empty).
 Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_series& series,

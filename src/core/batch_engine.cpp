@@ -1,6 +1,5 @@
 #include "core/batch_engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cellsync {
@@ -55,27 +54,9 @@ Lambda_selection Batch_engine::cross_validate(const Measurement_series& series,
                                               const Deconvolution_options& base_options,
                                               const Vector& lambda_grid, std::size_t folds,
                                               std::uint64_t seed) const {
-    series.validate();
-    if (lambda_grid.empty()) throw std::invalid_argument("Batch_engine: empty lambda grid");
-    if (folds < 2) throw std::invalid_argument("Batch_engine: need at least 2 folds");
-    const std::size_t m = series.size();
-    folds = std::min(folds, m);
-    const std::vector<std::size_t> perm = kfold_permutation(m, seed);
-
-    const Deconvolution_options effective = aligned(base_options);
-    Lambda_selection sel;
-    sel.method = "kfold";
-    sel.lambdas = lambda_grid;
-    sel.scores.assign(lambda_grid.size(), 0.0);
+    const Kfold_plan plan(deconvolver_, series, aligned(base_options), folds, seed);
     const Annotated_lock run_lock(run_mutex_);
-    pool_.parallel_for(lambda_grid.size(), [&](std::size_t li) {
-        sel.scores[li] = kfold_lambda_score(deconvolver_, series, effective, perm, folds,
-                                            lambda_grid[li]);
-    });
-
-    const auto best = std::min_element(sel.scores.begin(), sel.scores.end());
-    sel.best_lambda = sel.lambdas[static_cast<std::size_t>(best - sel.scores.begin())];
-    return sel;
+    return plan.select(lambda_grid, &pool_);
 }
 
 Confidence_band Batch_engine::bootstrap(const Measurement_series& series,

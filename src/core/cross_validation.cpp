@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/telemetry.h"
 #include "numerics/kkt_factorization.h"
 
 namespace cellsync {
@@ -31,42 +32,79 @@ std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed
     return perm;
 }
 
-double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
-                          const Deconvolution_options& base_options,
-                          const std::vector<std::size_t>& permutation, std::size_t folds,
-                          double lambda) {
+Kfold_plan::Kfold_plan(const Deconvolver& deconvolver, const Measurement_series& series,
+                       const Deconvolution_options& base_options, std::size_t folds,
+                       std::uint64_t seed)
+    : artifacts_(deconvolver.artifacts()), values_(series.values) {
+    series.validate();
+    if (folds < 2) throw std::invalid_argument("k-fold CV: need at least 2 folds");
     const std::size_t m = series.size();
-    if (permutation.size() != m) {
-        throw std::invalid_argument("kfold_lambda_score: permutation length mismatch");
+    if (m != artifacts_->times.size()) {
+        throw std::invalid_argument("Deconvolver: series length differs from kernel time grid");
     }
-    const Vector weights = series.weights();
-    const Design_matrix& kernel = deconvolver.kernel_design();
+    folds = std::min(folds, m);
+    weights_ = series.weights();
+    try {
+        qp_.emplace(artifacts_, base_options);
+    } catch (const std::runtime_error&) {
+        // Left empty: every fold fit is disqualified in score().
+    }
 
-    Deconvolution_options options = base_options;
-    options.lambda = lambda;
-    double score = 0.0;
-    for (std::size_t fold = 0; fold < folds; ++fold) {
-        std::vector<std::size_t> train, test;
+    // Random fold assignment, fixed across the lambda grid for a fair sweep.
+    const std::vector<std::size_t> perm = kfold_permutation(m, seed);
+    for (std::size_t f = 0; f < folds; ++f) {
+        Fold fold;
+        std::vector<std::size_t> train;
         for (std::size_t p = 0; p < m; ++p) {
-            (p % folds == fold ? test : train).push_back(permutation[p]);
+            (p % folds == f ? fold.test : train).push_back(perm[p]);
         }
         if (train.size() < 2) continue;
+        fold.train = row_normal_equations(artifacts_->kernel_design, train, values_, weights_);
+        folds_.push_back(std::move(fold));
+    }
+}
+
+double Kfold_plan::score(double lambda) const {
+    if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
+    static telemetry::Counter& solves = telemetry::counter("cv.solves");
+    double score = 0.0;
+    for (const Fold& fold : folds_) {
+        if (!qp_) return std::numeric_limits<double>::infinity();
+        solves.add();
+        Qp_result fit;
         try {
-            const Single_cell_estimate fit =
-                deconvolver.estimate_on_rows(series, train, options);
-            for (std::size_t idx : test) {
-                // Held-out prediction over the row's span, without the
-                // kernel.row() copy the dense path paid per test point.
-                const double pred = row_dot(kernel, idx, fit.coefficients());
-                const double r = series.values[idx] - pred;
-                score += weights[idx] * r * r;
-            }
+            fit = qp_->solve(fold.train, lambda);
         } catch (const std::runtime_error&) {
             // A lambda that breaks the QP is disqualified.
             return std::numeric_limits<double>::infinity();
         }
+        for (std::size_t idx : fold.test) {
+            const double r = values_[idx] - row_dot(artifacts_->kernel_design, idx, fit.x);
+            score += weights_[idx] * r * r;
+        }
     }
-    return score / static_cast<double>(m);
+    return score / static_cast<double>(values_.size());
+}
+
+Lambda_selection Kfold_plan::select(const Vector& lambda_grid, Worker_pool* pool) const {
+    if (lambda_grid.empty()) throw std::invalid_argument("k-fold CV: empty lambda grid");
+    static telemetry::Histogram& grid_points = telemetry::histogram("cv.lambda_grid_points");
+    grid_points.record(static_cast<double>(lambda_grid.size()));
+
+    Lambda_selection sel;
+    sel.method = "kfold";
+    sel.lambdas = lambda_grid;
+    sel.scores.assign(lambda_grid.size(), 0.0);
+    const auto score_one = [&](std::size_t li) { sel.scores[li] = score(lambda_grid[li]); };
+    if (pool != nullptr) {
+        pool->parallel_for(lambda_grid.size(), score_one);
+    } else {
+        for (std::size_t li = 0; li < lambda_grid.size(); ++li) score_one(li);
+    }
+
+    const auto best = std::min_element(sel.scores.begin(), sel.scores.end());
+    sel.best_lambda = sel.lambdas[static_cast<std::size_t>(best - sel.scores.begin())];
+    return sel;
 }
 
 Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
@@ -74,27 +112,7 @@ Lambda_selection select_lambda_kfold(const Deconvolver& deconvolver,
                                      const Deconvolution_options& base_options,
                                      const Vector& lambda_grid, std::size_t folds,
                                      std::uint64_t seed) {
-    series.validate();
-    if (lambda_grid.empty()) throw std::invalid_argument("select_lambda_kfold: empty grid");
-    if (folds < 2) throw std::invalid_argument("select_lambda_kfold: need at least 2 folds");
-    const std::size_t m = series.size();
-    folds = std::min(folds, m);
-
-    // Random fold assignment, fixed across the lambda grid for a fair sweep.
-    const std::vector<std::size_t> perm = kfold_permutation(m, seed);
-
-    Lambda_selection sel;
-    sel.method = "kfold";
-    sel.lambdas = lambda_grid;
-    sel.scores.assign(lambda_grid.size(), 0.0);
-    for (std::size_t li = 0; li < lambda_grid.size(); ++li) {
-        sel.scores[li] =
-            kfold_lambda_score(deconvolver, series, base_options, perm, folds, lambda_grid[li]);
-    }
-
-    const auto best = std::min_element(sel.scores.begin(), sel.scores.end());
-    sel.best_lambda = sel.lambdas[static_cast<std::size_t>(best - sel.scores.begin())];
-    return sel;
+    return Kfold_plan(deconvolver, series, base_options, folds, seed).select(lambda_grid);
 }
 
 Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,

@@ -10,9 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/deconvolver.h"
+#include "core/worker_pool.h"
 
 namespace cellsync {
 
@@ -53,13 +57,48 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
 /// the measurement indices (fold of perm[p] is p % folds).
 std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed);
 
-/// Mean weighted held-out squared error of one lambda under a fixed fold
-/// assignment — the unit of work shared by the serial selector and
-/// Batch_engine's parallel sweep. Returns +inf when a fold's constrained
-/// fit fails (that lambda is disqualified).
-double kfold_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
-                          const Deconvolution_options& base_options,
-                          const std::vector<std::size_t>& permutation, std::size_t folds,
-                          double lambda);
+/// One series' k-fold cross-validation, planned once and scored per
+/// lambda. Construction does all the lambda-independent work: series
+/// checks, the seeded fold assignment, each fold's held-out rows, its
+/// train-row Gram K'WK and gradient -2 K'WG, and the constraint geometry
+/// (Constrained_qp). Scoring a lambda then only solves each fold's
+/// constrained QP and predicts its held-out rows — the same arithmetic,
+/// in the same order, as fitting each fold with
+/// Deconvolver::estimate_on_rows, so scores are bit-identical to it.
+/// A fold with fewer than 2 train rows is skipped. Immutable after
+/// construction: score() may run concurrently for different lambdas.
+class Kfold_plan {
+  public:
+    /// `folds` is clamped to the measurement count (leave-one-out at the
+    /// limit). Throws std::invalid_argument for folds < 2, an invalid
+    /// series, or a series whose length differs from the kernel time grid.
+    Kfold_plan(const Deconvolver& deconvolver, const Measurement_series& series,
+               const Deconvolution_options& base_options, std::size_t folds,
+               std::uint64_t seed);
+
+    /// Mean weighted held-out squared error at `lambda`; +inf when a
+    /// fold's constrained fit fails (that lambda is disqualified).
+    /// Throws std::invalid_argument for lambda < 0.
+    double score(double lambda) const;
+
+    /// Score every grid point — in parallel over `pool` when given — and
+    /// pick the lowest score (the first on ties). Throws
+    /// std::invalid_argument on an empty grid.
+    Lambda_selection select(const Vector& lambda_grid, Worker_pool* pool = nullptr) const;
+
+  private:
+    struct Fold {
+        std::vector<std::size_t> test;  ///< held-out rows
+        Row_normal_equations train;     ///< K'WK and -2 K'WG over the rest
+    };
+
+    std::shared_ptr<const Design_artifacts> artifacts_;
+    /// Empty when the constraint geometry itself cannot be built: every
+    /// fold fit fails, as it did when each fit rebuilt the geometry.
+    std::optional<Constrained_qp> qp_;
+    Vector values_;
+    Vector weights_;
+    std::vector<Fold> folds_;
+};
 
 }  // namespace cellsync

@@ -41,6 +41,68 @@ Vector Single_cell_estimate::sample_time(const Vector& t_minutes, double cycle_m
     return out;
 }
 
+Row_normal_equations row_normal_equations(const Design_matrix& kernel,
+                                          const std::vector<std::size_t>& rows,
+                                          const Vector& values, const Vector& weights) {
+    Vector g_sub(rows.size());
+    Vector w_sub(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        g_sub[r] = values[rows[r]];
+        w_sub[r] = weights[rows[r]];
+    }
+    Row_normal_equations out;
+    out.gram = weighted_gram_rows(kernel, rows, w_sub);
+    out.gradient = scaled(weighted_transposed_times_rows(kernel, rows, w_sub, g_sub), -2.0);
+    return out;
+}
+
+Constrained_qp::Constrained_qp(const std::shared_ptr<const Design_artifacts>& artifacts,
+                               const Deconvolution_options& options)
+    : artifacts_(artifacts), ridge_(options.ridge), backend_(options.backend), qp_(options.qp) {
+    if (options.constraints == artifacts->constraint_options) {
+        // Aliasing pointer: the design's blocks, kept alive by the design.
+        constraints_ = std::shared_ptr<const Constraint_set>(artifacts, &artifacts->constraints);
+        prep_ = artifacts->constraint_prep;
+    } else {
+        auto local = std::make_shared<const Constraint_set>(
+            build_constraints(*artifacts->basis, artifacts->config, options.constraints));
+        prep_ = std::make_shared<const Qp_constraint_prep>(
+            artifacts->basis->size(), local->equality, local->equality_rhs, local->inequality,
+            local->inequality_rhs);
+        constraints_ = std::move(local);
+    }
+}
+
+Qp_result Constrained_qp::solve(const Row_normal_equations& data, double lambda) const {
+    const Matrix& penalty = artifacts_->penalty;
+    const std::size_t n = penalty.rows();
+    if (data.gram.rows() != n || data.gram.cols() != n || data.gradient.size() != n) {
+        throw std::invalid_argument("Constrained_qp: normal-equation shape mismatch");
+    }
+    Matrix hessian(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            hessian(i, j) = 2.0 * (data.gram(i, j) + lambda * penalty(i, j));
+        }
+        hessian(i, i) += 2.0 * ridge_;
+    }
+    const Vector& gradient = data.gradient;
+    if (backend_ == Qp_backend::automatic || backend_ == Qp_backend::active_set) {
+        // The dual (Goldfarb-Idnani) solver through the shared constraint
+        // preparation: no feasible start needed and robust on the dense,
+        // near-degenerate positivity grid.
+        return solve_qp_dual_prepared(hessian, gradient, *prep_, qp_);
+    }
+    Qp_problem qp;
+    qp.hessian = std::move(hessian);
+    qp.gradient = gradient;
+    qp.eq_matrix = constraints_->equality;
+    qp.eq_rhs = constraints_->equality_rhs;
+    qp.ineq_matrix = constraints_->inequality;
+    qp.ineq_rhs = constraints_->inequality_rhs;
+    return make_qp_solver(backend_)->solve(qp, qp_);
+}
+
 Deconvolver::Deconvolver(std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
                          const Cell_cycle_config& config)
     : artifacts_(make_design_artifacts(std::move(basis), kernel, config)) {}
@@ -105,62 +167,10 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
         throw std::invalid_argument("Deconvolver: series length differs from kernel time grid");
     }
 
-    const std::size_t n = artifacts_->basis->size();
-    const Design_matrix& kernel = artifacts_->kernel_design;
-    const Vector w_full = series.weights();
-
-    // H = 2 (K'WK + lambda Omega + ridge I), g = -2 K'W G over selected
-    // rows, accumulated straight off the shared banded kernel: no k_sub
-    // copy, and structurally zero kernel blocks are skipped entirely.
-    Vector g_sub(rows.size());
-    Vector w_sub(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        g_sub[r] = series.values[rows[r]];
-        w_sub[r] = w_full[rows[r]];
-    }
-
-    Matrix hessian =
-        2.0 * (weighted_gram_rows(kernel, rows, w_sub) + options.lambda * artifacts_->penalty);
-    for (std::size_t i = 0; i < n; ++i) hessian(i, i) += 2.0 * options.ridge;
-    Vector gradient(n, 0.0);
-    const Vector ktwg = weighted_transposed_times_rows(kernel, rows, w_sub, g_sub);
-    for (std::size_t i = 0; i < n; ++i) gradient[i] = -2.0 * ktwg[i];
-
-    // Constraint blocks: the design caches the blocks and their QP
-    // reduction for its own constraint geometry; any other geometry is
-    // rebuilt per call (the pre-engine slow path).
-    std::shared_ptr<const Qp_constraint_prep> prep;
-    const Constraint_set* constraints = nullptr;
-    Constraint_set local_constraints;
-    if (options.constraints == artifacts_->constraint_options) {
-        constraints = &artifacts_->constraints;
-        prep = artifacts_->constraint_prep;
-    } else {
-        local_constraints =
-            build_constraints(*artifacts_->basis, artifacts_->config, options.constraints);
-        constraints = &local_constraints;
-        prep = std::make_shared<const Qp_constraint_prep>(
-            n, local_constraints.equality, local_constraints.equality_rhs,
-            local_constraints.inequality, local_constraints.inequality_rhs);
-    }
-
-    Qp_result result;
-    if (options.backend == Qp_backend::automatic ||
-        options.backend == Qp_backend::active_set) {
-        // The dual (Goldfarb-Idnani) solver through the shared constraint
-        // preparation: no feasible start needed and robust on the dense,
-        // near-degenerate positivity grid.
-        result = solve_qp_dual_prepared(hessian, gradient, *prep, options.qp);
-    } else {
-        Qp_problem qp;
-        qp.hessian = std::move(hessian);
-        qp.gradient = std::move(gradient);
-        qp.eq_matrix = constraints->equality;
-        qp.eq_rhs = constraints->equality_rhs;
-        qp.ineq_matrix = constraints->inequality;
-        qp.ineq_rhs = constraints->inequality_rhs;
-        result = make_qp_solver(options.backend)->solve(qp, options.qp);
-    }
+    const Qp_result result = Constrained_qp(artifacts_, options)
+                                 .solve(row_normal_equations(artifacts_->kernel_design, rows,
+                                                             series.values, series.weights()),
+                                        options.lambda);
     Single_cell_estimate est = package(result.x, series, options.lambda);
     est.qp_iterations = result.iterations;
     est.active_constraints = result.active_set.size();

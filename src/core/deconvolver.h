@@ -73,6 +73,50 @@ class Single_cell_estimate {
     Vector alpha_;
 };
 
+/// The data term of the estimator's objective over a subset of
+/// measurement rows: the Gram K'WK and the gradient -2 K'WG.
+struct Row_normal_equations {
+    Matrix gram;
+    Vector gradient;
+};
+
+/// Accumulate Row_normal_equations for `rows` straight off the shared
+/// design kernel: no row copies, structurally zero kernel blocks skipped.
+/// `values` and `weights` are full-length, indexed by the rows.
+Row_normal_equations row_normal_equations(const Design_matrix& kernel,
+                                          const std::vector<std::size_t>& rows,
+                                          const Vector& values, const Vector& weights);
+
+/// The estimator's constrained QP for one constraint geometry, resolved
+/// once and then solved for any number of objectives. A geometry matching
+/// the design's reuses its cached blocks and reduction; any other geometry
+/// is rebuilt here (the pre-engine slow path). Deconvolver::estimate_on_rows
+/// and the k-fold plan (core/cross_validation.h) both solve through this,
+/// so every constrained fit assembles its Hessian and dispatches the same
+/// way. Immutable after construction: concurrent solve() calls are safe.
+class Constrained_qp {
+  public:
+    /// `options` supplies the constraint geometry, ridge, backend and QP
+    /// controls; its lambda is unused (each solve() names its own).
+    /// Throws std::runtime_error when a rebuilt geometry's equality
+    /// constraints are inconsistent.
+    Constrained_qp(const std::shared_ptr<const Design_artifacts>& artifacts,
+                   const Deconvolution_options& options);
+
+    /// Minimize 0.5 x'Hx + g'x with H = 2 (K'WK + lambda Omega) + 2 ridge I
+    /// and g = -2 K'WG from `data`, under the constraints with the
+    /// options' backend. Propagates QP failures as std::runtime_error.
+    Qp_result solve(const Row_normal_equations& data, double lambda) const;
+
+  private:
+    std::shared_ptr<const Design_artifacts> artifacts_;
+    std::shared_ptr<const Constraint_set> constraints_;
+    std::shared_ptr<const Qp_constraint_prep> prep_;
+    double ridge_;
+    Qp_backend backend_;
+    Qp_options qp_;
+};
+
 /// Deconvolution engine bound to one kernel and one basis.
 ///
 /// The measurement series passed to estimate() must sample exactly the
@@ -127,9 +171,10 @@ class Deconvolver {
     Single_cell_estimate estimate_unconstrained(const Measurement_series& series,
                                                 double lambda, double ridge = 1e-9) const;
 
-    /// Constrained estimate restricted to a subset of measurement rows
-    /// (used by k-fold cross-validation). `rows` indexes into the kernel
-    /// time grid; duplicates are rejected.
+    /// Constrained estimate restricted to a subset of measurement rows.
+    /// `rows` indexes into the kernel time grid; duplicates are rejected.
+    /// One fold fit of k-fold cross-validation, which Kfold_plan
+    /// reproduces bit for bit without refitting from scratch.
     Single_cell_estimate estimate_on_rows(const Measurement_series& series,
                                           const std::vector<std::size_t>& rows,
                                           const Deconvolution_options& options) const;

@@ -108,8 +108,9 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
 }
 
 /// Record the condition's selected lambdas (feeding later conditions'
-/// warm starts) and score every successful profile's synchrony.
-void score_condition(Condition_result& out, const Vector& score_phi,
+/// warm starts) and score every successful profile's synchrony. `basis`
+/// is the condition's design basis, shared by all of its estimates.
+void score_condition(Condition_result& out, const Basis& basis, const Vector& score_phi,
                      std::map<std::string, double>& previous_lambda) {
     // Shared by both schedules, once per condition — the one place the
     // experiment-level progress counters can tick identically for the
@@ -123,9 +124,13 @@ void score_condition(Condition_result& out, const Vector& score_phi,
         if (entry.estimate.has_value()) previous_lambda[entry.label] = entry.lambda;
     }
 
+    // One grid design per condition: each profile is then a single
+    // mat-vec, bit-identical to estimate.sample(score_phi) (the same
+    // increasing-index accumulation per grid point).
+    const Design_matrix score_design = basis.design_matrix_auto(score_phi);
     for (const Batch_entry& entry : out.genes) {
         if (!entry.estimate.has_value()) continue;
-        const Vector values = entry.estimate->sample(score_phi);
+        const Vector values = score_design * entry.estimate->coefficients();
         Gene_synchrony scores;
         scores.label = entry.label;
         try {
@@ -207,7 +212,7 @@ Experiment_result run_sequential(const Experiment_spec& spec,
             const telemetry::Trace_span score_span(
                 "experiment.score", "experiment",
                 tracing ? telemetry::arg("condition", out.name) : std::string());
-            score_condition(out, score_phi, previous_lambda);
+            score_condition(out, engine.deconvolver().basis(), score_phi, previous_lambda);
         }
         result.conditions.push_back(std::move(out));
     }
@@ -306,8 +311,9 @@ Experiment_result run_pipelined(const Experiment_spec& spec,
             {prep});
         score_nodes[c] = graph.add_node(
             "score:" + result.conditions[c].name, 1,
-            [&result, &score_phi, &previous_lambda, c](std::size_t) {
-                score_condition(result.conditions[c], score_phi, previous_lambda);
+            [&result, &work, &score_phi, &previous_lambda, c](std::size_t) {
+                score_condition(result.conditions[c], work[c].deconvolver->basis(), score_phi,
+                                previous_lambda);
             },
             {solve});
     }

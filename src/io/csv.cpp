@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -169,12 +168,22 @@ void write_csv(std::ostream& out, const Table& table) {
         out << (c ? "," : "") << table.names()[c];
     }
     out << '\n';
-    out << std::setprecision(17);
+    // Each value as "%.17g" — the bytes `ostream << setprecision(17)`
+    // wrote — formatted by to_chars into one line buffer: no locale
+    // lookup or stream sentry per value.
+    std::string line;
+    char buffer[32];  // "%.17g" needs at most 24: sign, 17 digits, point, "e-308"
     for (std::size_t r = 0; r < table.row_count(); ++r) {
+        line.clear();
         for (std::size_t c = 0; c < table.column_count(); ++c) {
-            out << (c ? "," : "") << table.column(c)[r];
+            if (c) line.push_back(',');
+            const std::to_chars_result done =
+                std::to_chars(buffer, buffer + sizeof(buffer), table.column(c)[r],
+                              std::chars_format::general, 17);
+            line.append(buffer, done.ptr);
         }
-        out << '\n';
+        line.push_back('\n');
+        out.write(line.data(), static_cast<std::streamsize>(line.size()));
     }
 }
 

@@ -290,6 +290,15 @@ std::vector<Vector> null_space_basis(const Matrix& a) {
     return null_basis;
 }
 
+/// a.row(r) . v straight off the row-major storage, without the row
+/// copy, in dot()'s serial order (so bit-identical to it).
+double dot_row(const Matrix& a, std::size_t r, const Vector& v) {
+    const double* row = a.data().data() + r * a.cols();
+    double s = 0.0;
+    for (std::size_t k = 0; k < v.size(); ++k) s += row[k] * v[k];
+    return s;
+}
+
 }  // namespace
 
 Qp_constraint_prep::Qp_constraint_prep(std::size_t n, const Matrix& eq_matrix,
@@ -369,24 +378,26 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
 
     Vector y = scaled(h_solve(gradient), -1.0);  // unconstrained optimum
     std::vector<std::size_t> active;
+    std::vector<char> is_active(mi, 0);  // membership mask of `active`
     Vector u;  // multipliers of active constraints
     std::size_t iterations = 0;
     const std::size_t max_outer = options.max_iterations + 10 * (mi + 1);
+
+    // H^{-1} c_r, solved at most once per constraint per call: every
+    // inner step reuses the columns of the whole active set.
+    std::vector<Vector> hinv_rows(mi);
+    const auto hinv_row = [&](std::size_t r) -> const Vector& {
+        if (hinv_rows[r].empty()) hinv_rows[r] = h_solve(cr.row(r));
+        return hinv_rows[r];
+    };
 
     for (std::size_t outer = 0; outer < max_outer; ++outer) {
         // Most violated inactive constraint.
         double worst = -options.constraint_tol;
         std::size_t j = mi;
         for (std::size_t r = 0; r < mi; ++r) {
-            bool is_active = false;
-            for (std::size_t k : active) {
-                if (k == r) {
-                    is_active = true;
-                    break;
-                }
-            }
-            if (is_active) continue;
-            const double slack = dot(cr.row(r), y) - dr[r];
+            if (is_active[r]) continue;
+            const double slack = dot_row(cr, r, y) - dr[r];
             if (slack < worst) {
                 worst = slack;
                 j = r;
@@ -395,13 +406,13 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
         if (j == mi) break;  // primal feasible: done
 
         const Vector cj = cr.row(j);
+        const Vector& hic = hinv_row(j);
         double uj = 0.0;
 
         // Inner loop: take (partial) steps toward constraint j's boundary,
         // shedding dual-blocking constraints along the way.
         for (std::size_t inner = 0; inner <= mi + 1; ++inner) {
             ++iterations;
-            const Vector hic = h_solve(cj);
 
             Vector r_dir;  // dual step for active multipliers
             Vector zdir = hic;
@@ -411,7 +422,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                 for (std::size_t k = 0; k < q; ++k) nact.set_col(k, cr.row(active[k]));
                 // M = N' H^{-1} N, rhs = N' H^{-1} c.
                 Matrix hin(nz, q);
-                for (std::size_t k = 0; k < q; ++k) hin.set_col(k, h_solve(nact.col(k)));
+                for (std::size_t k = 0; k < q; ++k) hin.set_col(k, hinv_row(active[k]));
                 Matrix m(q, q);
                 for (std::size_t a2 = 0; a2 < q; ++a2) {
                     for (std::size_t b2 = 0; b2 < q; ++b2) {
@@ -453,10 +464,12 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
             }
             if (t == t2 && std::isfinite(t2)) {
                 active.push_back(j);
+                is_active[j] = 1;
                 u.push_back(uj);
                 break;
             }
             // Dual step only: drop the blocking constraint and retry.
+            is_active[active[drop]] = 0;
             active.erase(active.begin() + static_cast<std::ptrdiff_t>(drop));
             u.erase(u.begin() + static_cast<std::ptrdiff_t>(drop));
         }
@@ -471,7 +484,7 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     // than trusting the loop bound.
     double violation = 0.0;
     for (std::size_t r = 0; r < mi; ++r) {
-        violation = std::max(violation, dr[r] - dot(cr.row(r), result.x));
+        violation = std::max(violation, dr[r] - dot_row(cr, r, result.x));
     }
     if (violation > 100.0 * options.constraint_tol) {
         throw std::runtime_error("solve_qp_dual: failed to reach primal feasibility");
@@ -518,11 +531,12 @@ Reduced_objective reduce_objective(const Matrix& hessian, const Vector& gradient
     Reduced_objective out;
     out.hr = Matrix(nz, nz);
     const Matrix hz = hessian * z_basis;
+    // i/k/j order keeps the inner loop on contiguous rows of hz and
+    // hr; each hr(i, j) still sums its k terms in increasing order.
     for (std::size_t i = 0; i < nz; ++i) {
-        for (std::size_t j = 0; j < nz; ++j) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < n; ++k) s += z_basis(k, i) * hz(k, j);
-            out.hr(i, j) = s;
+        for (std::size_t k = 0; k < n; ++k) {
+            const double zki = z_basis(k, i);
+            for (std::size_t j = 0; j < nz; ++j) out.hr(i, j) += zki * hz(k, j);
         }
     }
     out.gr = transposed_times(z_basis, hessian * prep.x_particular() + gradient);
@@ -659,7 +673,7 @@ std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
         double worst = -options.constraint_tol;
         for (std::size_t r = 0; r < mi; ++r) {
             if (in_working[r]) continue;
-            const double slack = dot(cr.row(r), y) - dr[r];
+            const double slack = dot_row(cr, r, y) - dr[r];
             if (slack < worst) {
                 worst = slack;
                 add = r;

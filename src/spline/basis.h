@@ -89,9 +89,11 @@ class Basis {
     /// Derivative design matrix B' with B'(p, i) = psi_i'(points[p]).
     Matrix derivative_matrix(const Vector& points) const;
 
-    /// Evaluate the expansion sum_i alpha_i psi_i at x.
-    /// Throws std::invalid_argument if alpha.size() != size().
-    double expand(const Vector& alpha, double x) const;
+    /// Evaluate the expansion sum_i alpha_i psi_i at x, accumulating in
+    /// increasing i. Overrides may locate x once for all basis functions
+    /// but must return the same bits. Throws std::invalid_argument if
+    /// alpha.size() != size().
+    virtual double expand(const Vector& alpha, double x) const;
 
     /// Evaluate the expansion derivative at x.
     double expand_derivative(const Vector& alpha, double x) const;

@@ -16,8 +16,21 @@ Cubic_spline::Cubic_spline(Vector x, Vector y) : x_(std::move(x)), y_(std::move(
 
     const std::size_t n = x_.size();
     m_.assign(n, 0.0);
-    if (n == 2) return;  // straight line; all second derivatives zero
+    if (n > 2) solve_second_derivatives();  // else a straight line: all zero
 
+    // Per-segment slope and cubic coefficients, computed once so the
+    // evaluators only run the polynomial.
+    slope_.resize(n - 1);
+    cubic_.resize(n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        const double h = x_[i + 1] - x_[i];
+        slope_[i] = (y_[i + 1] - y_[i]) / h - h * (2.0 * m_[i] + m_[i + 1]) / 6.0;
+        cubic_[i] = (m_[i + 1] - m_[i]) / (6.0 * h);
+    }
+}
+
+void Cubic_spline::solve_second_derivatives() {
+    const std::size_t n = x_.size();
     // Thomas algorithm on the natural-spline tridiagonal system for the
     // interior second derivatives m_[1..n-2].
     const std::size_t interior = n - 2;
@@ -51,23 +64,19 @@ std::size_t Cubic_spline::segment(double q) const {
 
 double Cubic_spline::operator()(double q) const {
     const std::size_t i = segment(q);
-    const double h = x_[i + 1] - x_[i];
     if (q < x_.front() || q > x_.back()) {
         // Linear extrapolation with the boundary slope (natural spline).
         const double edge = q < x_.front() ? x_.front() : x_.back();
         return (*this)(edge) + derivative(edge) * (q - edge);
     }
-    const double t = q - x_[i];
-    const double b = (y_[i + 1] - y_[i]) / h - h * (2.0 * m_[i] + m_[i + 1]) / 6.0;
-    return y_[i] + b * t + 0.5 * m_[i] * t * t + (m_[i + 1] - m_[i]) / (6.0 * h) * t * t * t;
+    return interior_value(i, q);
 }
 
 double Cubic_spline::derivative(double q) const {
     const std::size_t i = segment(q);
     const double h = x_[i + 1] - x_[i];
-    const double b = (y_[i + 1] - y_[i]) / h - h * (2.0 * m_[i] + m_[i + 1]) / 6.0;
     const double t = std::clamp(q, x_.front(), x_.back()) - x_[i];
-    return b + m_[i] * t + 0.5 * (m_[i + 1] - m_[i]) / h * t * t;
+    return slope_[i] + m_[i] * t + 0.5 * (m_[i + 1] - m_[i]) / h * t * t;
 }
 
 double Cubic_spline::second_derivative(double q) const {

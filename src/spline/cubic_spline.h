@@ -29,6 +29,18 @@ class Cubic_spline {
     /// Second derivative at q (zero outside the knot span).
     double second_derivative(double q) const;
 
+    /// Index of the knot interval [x_i, x_{i+1}] holding q (clamped to
+    /// the first/last interval outside the knot span).
+    std::size_t segment(double q) const;
+
+    /// The segment's cubic at q, for q inside the knot span and `segment`
+    /// == segment(q): operator()(q) without the search.
+    double interior_value(std::size_t segment, double q) const {
+        const double t = q - x_[segment];
+        return y_[segment] + slope_[segment] * t + 0.5 * m_[segment] * t * t +
+               cubic_[segment] * t * t * t;
+    }
+
     const Vector& knots() const { return x_; }
     const Vector& values() const { return y_; }
 
@@ -37,11 +49,13 @@ class Cubic_spline {
     const Vector& knot_second_derivatives() const { return m_; }
 
   private:
-    std::size_t segment(double q) const;
+    void solve_second_derivatives();
 
     Vector x_;
     Vector y_;
-    Vector m_;  // second derivatives at knots
+    Vector m_;      // second derivatives at knots
+    Vector slope_;  // per segment: first derivative at its left knot
+    Vector cubic_;  // per segment: cubic coefficient (m_{i+1} - m_i) / (6 h)
 };
 
 }  // namespace cellsync

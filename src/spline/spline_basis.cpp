@@ -38,6 +38,17 @@ double Natural_spline_basis::value(std::size_t i, double x) const {
     return cardinal_[i](x);
 }
 
+double Natural_spline_basis::expand(const Vector& alpha, double x) const {
+    if (alpha.size() != size()) throw std::invalid_argument("Basis::expand: coefficient count");
+    if (x < knots_.front() || x > knots_.back()) return Basis::expand(alpha, x);
+    const std::size_t segment = cardinal_.front().segment(x);
+    double s = 0.0;
+    for (std::size_t i = 0; i < alpha.size(); ++i) {
+        s += alpha[i] * cardinal_[i].interior_value(segment, x);
+    }
+    return s;
+}
+
 double Natural_spline_basis::derivative(std::size_t i, double x) const {
     if (i >= cardinal_.size()) {
         throw std::out_of_range("Natural_spline_basis::derivative: bad index");

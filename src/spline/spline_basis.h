@@ -29,6 +29,10 @@ class Natural_spline_basis final : public Basis {
     double derivative(std::size_t i, double x) const override;
     double second_derivative(std::size_t i, double x) const override;
 
+    /// The cardinal splines share one knot grid, so x's segment is found
+    /// once for all of them; same bits as the per-function evaluation.
+    double expand(const Vector& alpha, double x) const override;
+
     /// Exact penalty matrix: natural-spline second derivatives are
     /// piecewise linear, so each product integrates in closed form.
     Matrix penalty_matrix() const override;

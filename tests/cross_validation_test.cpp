@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "biology/gene_profiles.h"
+#include "core/batch_engine.h"
 #include "core/forward_model.h"
 #include "spline/spline_basis.h"
 #include "numerics/statistics.h"
@@ -37,6 +40,84 @@ class CrossValidationTest : public ::testing::Test {
 
 Kernel_grid* CrossValidationTest::kernel_ = nullptr;
 Deconvolver* CrossValidationTest::deconvolver_ = nullptr;
+
+// ---------------------------------------------------------------------------
+// Oracle: k-fold scoring as it ran before the fold plan — one full
+// Deconvolver::estimate_on_rows fit per (lambda, fold), held-out rows
+// predicted from the fit's coefficients. Kfold_plan must reproduce every
+// score bit for bit.
+// ---------------------------------------------------------------------------
+
+double oracle_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
+                           const Deconvolution_options& base_options,
+                           const std::vector<std::size_t>& permutation, std::size_t folds,
+                           double lambda) {
+    const std::size_t m = series.size();
+    const Vector weights = series.weights();
+    Deconvolution_options options = base_options;
+    options.lambda = lambda;
+    double score = 0.0;
+    for (std::size_t fold = 0; fold < folds; ++fold) {
+        std::vector<std::size_t> train, test;
+        for (std::size_t p = 0; p < m; ++p) {
+            (p % folds == fold ? test : train).push_back(permutation[p]);
+        }
+        if (train.size() < 2) continue;
+        try {
+            const Single_cell_estimate fit =
+                deconvolver.estimate_on_rows(series, train, options);
+            for (std::size_t idx : test) {
+                const double pred = row_dot(deconvolver.kernel_design(), idx, fit.coefficients());
+                const double r = series.values[idx] - pred;
+                score += weights[idx] * r * r;
+            }
+        } catch (const std::runtime_error&) {
+            return std::numeric_limits<double>::infinity();
+        }
+    }
+    return score / static_cast<double>(m);
+}
+
+Lambda_selection oracle_select(const Deconvolver& deconvolver, const Measurement_series& series,
+                               const Deconvolution_options& base_options,
+                               const Vector& lambda_grid, std::size_t folds,
+                               std::uint64_t seed) {
+    folds = std::min(folds, series.size());
+    const std::vector<std::size_t> perm = kfold_permutation(series.size(), seed);
+    Lambda_selection sel;
+    sel.lambdas = lambda_grid;
+    for (double lambda : lambda_grid) {
+        sel.scores.push_back(
+            oracle_lambda_score(deconvolver, series, base_options, perm, folds, lambda));
+    }
+    const auto best = std::min_element(sel.scores.begin(), sel.scores.end());
+    sel.best_lambda = sel.lambdas[static_cast<std::size_t>(best - sel.scores.begin())];
+    return sel;
+}
+
+void expect_same_selection(const Lambda_selection& oracle, const Lambda_selection& got) {
+    ASSERT_EQ(oracle.scores.size(), got.scores.size());
+    for (std::size_t i = 0; i < oracle.scores.size(); ++i) {
+        EXPECT_EQ(oracle.scores[i], got.scores[i]) << "lambda " << oracle.lambdas[i];
+    }
+    EXPECT_EQ(oracle.best_lambda, got.best_lambda);
+    EXPECT_EQ(got.method, "kfold");
+}
+
+/// Noisy series of three shape families, so the oracle sees different
+/// active sets and selected lambdas.
+std::vector<Measurement_series> oracle_panel(const Kernel_grid& kernel) {
+    const Gene_profile profiles[] = {sinusoid_profile(3.0, 2.0), pulse_profile(0.5, 4.0, 0.4, 0.08),
+                                     ftsz_like_profile()};
+    std::vector<Measurement_series> panel;
+    Rng rng(31);
+    const Noise_model noise{Noise_type::relative_gaussian, 0.08};
+    for (const Gene_profile& profile : profiles) {
+        panel.push_back(forward_measurements_noisy(kernel, profile.f, noise, rng));
+    }
+    return panel;
+}
+
 
 TEST(LambdaGrid, DefaultGridIsLogSpaced) {
     const Vector grid = default_lambda_grid();
@@ -143,6 +224,70 @@ TEST_F(CrossValidationTest, DeterministicGivenSeed) {
         EXPECT_DOUBLE_EQ(a.scores[i], b.scores[i]);
     }
     EXPECT_DOUBLE_EQ(a.best_lambda, b.best_lambda);
+}
+
+TEST_F(CrossValidationTest, PlanMatchesPerFoldRefitOracleBitwise) {
+    // 1e308 overflows the Hessian: the QP throws and that lambda must be
+    // disqualified (+inf) by both paths.
+    Vector grid = default_lambda_grid(15, 1e-7, 1e1);
+    grid.push_back(1e308);
+    for (const Measurement_series& series : oracle_panel(*kernel_)) {
+        const Lambda_selection oracle =
+            oracle_select(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77);
+        const Lambda_selection plan =
+            select_lambda_kfold(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77);
+        expect_same_selection(oracle, plan);
+        EXPECT_TRUE(std::isinf(plan.scores.back()));
+        EXPECT_TRUE(std::isfinite(plan.best_lambda));
+    }
+}
+
+TEST_F(CrossValidationTest, PlanMatchesOracleOnRebuiltConstraintGeometry) {
+    // A geometry the design did not cache: the plan rebuilds it once,
+    // the oracle once per fold fit.
+    Deconvolution_options options;
+    options.constraints.positivity_points = 51;
+    ASSERT_NE(options.constraints, deconvolver_->artifacts()->constraint_options);
+    const Vector grid = default_lambda_grid(5, 1e-6, 1e0);
+    for (const Measurement_series& series : oracle_panel(*kernel_)) {
+        expect_same_selection(oracle_select(*deconvolver_, series, options, grid, 4, 9),
+                              select_lambda_kfold(*deconvolver_, series, options, grid, 4, 9));
+    }
+}
+
+TEST_F(CrossValidationTest, EngineCrossValidateMatchesOracleAtOneAndFourThreads) {
+    Vector grid = default_lambda_grid(15, 1e-7, 1e1);
+    grid.push_back(1e308);
+    const std::vector<Measurement_series> panel = oracle_panel(*kernel_);
+    for (std::size_t threads : {1u, 4u}) {
+        Batch_engine_options engine_options;
+        engine_options.threads = threads;
+        const Batch_engine engine(deconvolver_->artifacts(), engine_options);
+        for (const Measurement_series& series : panel) {
+            const Lambda_selection got =
+                engine.cross_validate(series, Deconvolution_options{}, grid, 5, 77);
+            expect_same_selection(
+                oracle_select(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77), got);
+            EXPECT_TRUE(std::isinf(got.scores.back()));
+        }
+    }
+}
+
+TEST_F(CrossValidationTest, PlanKeepsPerFitChecks) {
+    const Measurement_series data =
+        forward_measurements(*kernel_, [](double) { return 2.0; });
+    const Kfold_plan plan(*deconvolver_, data, Deconvolution_options{}, 5, 77);
+    EXPECT_THROW(plan.score(-1e-3), std::invalid_argument);
+    EXPECT_TRUE(std::isfinite(plan.score(1e-3)));
+
+    Measurement_series short_series = data;
+    short_series.times.pop_back();
+    short_series.values.pop_back();
+    short_series.sigmas.pop_back();
+    EXPECT_THROW(Kfold_plan(*deconvolver_, short_series, Deconvolution_options{}, 5, 77),
+                 std::invalid_argument);
+    EXPECT_THROW(Kfold_plan(*deconvolver_, data, Deconvolution_options{}, 1, 77),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "numerics/rng.h"
 
 namespace cellsync {
 namespace {
@@ -117,6 +124,33 @@ TEST(Csv, WriteReadRoundTrip) {
         EXPECT_DOUBLE_EQ(back.column("time")[r], t.column("time")[r]);
         EXPECT_DOUBLE_EQ(back.column("value")[r], t.column("value")[r]);
     }
+}
+
+TEST(Csv, WriteMatchesStreamFormattingByteForByte) {
+    // write_csv formats with to_chars; its bytes must equal the
+    // `ostream << setprecision(17)` output it replaced for every finite
+    // value: signed zero, subnormals, extremes, inexact decimals, integers.
+    Vector a = {-0.0,   0.0,    5e-324, 2.5e-310, 1e308,  -1e308, 0.1,
+                1.0 / 3.0, -2.0 / 3.0, 1.0, -7.0, 42.0, 1e16, 123456789012345678.0,
+                1e-5,   1e-4,   0.30000000000000004, 1e21, 1e22, 0.001,
+                std::numeric_limits<double>::max(), std::numeric_limits<double>::min()};
+    // Plus a deterministic sweep of raw bit patterns across all exponents.
+    Rng rng(2011);
+    while (a.size() < 4096) {
+        const double v = std::bit_cast<double>(rng.engine()());
+        if (std::isfinite(v)) a.push_back(v);
+    }
+    Vector b(a.rbegin(), a.rend());
+    Table t;
+    t.add_column("a", a);
+    t.add_column("b", b);
+
+    std::ostringstream expected;
+    expected << "a,b\n" << std::setprecision(17);
+    for (std::size_t r = 0; r < a.size(); ++r) expected << a[r] << "," << b[r] << "\n";
+    std::ostringstream got;
+    write_csv(got, t);
+    EXPECT_EQ(got.str(), expected.str());
 }
 
 TEST(Csv, FileRoundTrip) {

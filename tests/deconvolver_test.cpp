@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
 #include "biology/gene_profiles.h"
 #include "core/forward_model.h"
+#include "spline/bspline.h"
 #include "spline/spline_basis.h"
 #include "numerics/statistics.h"
 
@@ -52,6 +55,47 @@ Cell_cycle_config* DeconvolverTest::config_ = nullptr;
 Kernel_grid* DeconvolverTest::kernel_ = nullptr;
 std::shared_ptr<Natural_spline_basis>* DeconvolverTest::basis_ = nullptr;
 Deconvolver* DeconvolverTest::deconvolver_ = nullptr;
+
+// The output tail (experiment scoring, CLI profile writers) samples every
+// estimate as one mat-vec against a grid design built once; it must
+// reproduce sample() bit for bit on the 201-point output grid and the
+// 200-point score grid (the output grid without phi = 1).
+void expect_design_matches_sample(const Single_cell_estimate& estimate) {
+    const Vector output_grid = linspace(0.0, 1.0, 201);
+    Vector score_grid = output_grid;
+    score_grid.pop_back();
+    for (const Vector& grid : {output_grid, score_grid}) {
+        const Vector via_design = estimate.basis().design_matrix_auto(grid) *
+                                  estimate.coefficients();
+        const Vector sampled = estimate.sample(grid);
+        ASSERT_EQ(via_design.size(), sampled.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(via_design[i]),
+                      std::bit_cast<std::uint64_t>(sampled[i]))
+                << "phi " << grid[i] << ": " << via_design[i] << " vs " << sampled[i];
+        }
+    }
+}
+
+TEST_F(DeconvolverTest, GridDesignMatVecMatchesSampleBitwise) {
+    Rng rng(57);
+    const Noise_model noise{Noise_type::relative_gaussian, 0.05};
+    for (const Gene_profile& truth :
+         {sinusoid_profile(3.0, 2.0), pulse_profile(0.5, 4.0, 0.6, 0.1), ftsz_like_profile()}) {
+        Deconvolution_options options;
+        options.lambda = 1e-4;
+        expect_design_matches_sample(deconvolver_->estimate(
+            forward_measurements_noisy(*kernel_, truth.f, noise, rng), options));
+    }
+    // A locally supported basis takes the packed layout's mat-vec.
+    const auto bspline = std::make_shared<Bspline_basis>(20);
+    ASSERT_TRUE(bspline->design_matrix_auto(linspace(0.0, 1.0, 201)).is_packed());
+    Vector alpha(bspline->size());
+    for (std::size_t i = 0; i < alpha.size(); ++i) {
+        alpha[i] = std::sin(1.7 * static_cast<double>(i)) - 0.3;
+    }
+    expect_design_matches_sample(Single_cell_estimate(bspline, alpha));
+}
 
 TEST_F(DeconvolverTest, KernelMatrixShape) {
     EXPECT_EQ(deconvolver_->kernel_matrix().rows(), 13u);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "numerics/quadrature.h"
@@ -107,6 +109,28 @@ TEST(NaturalSplineBasis, DesignMatrixShapesAndValues) {
     EXPECT_NEAR(b(0, 0), 1.0, 1e-12);  // first knot, first cardinal
     const Matrix d = basis.derivative_matrix(pts);
     EXPECT_EQ(d.rows(), 11u);
+}
+
+TEST(NaturalSplineBasis, ExpandMatchesPerFunctionSumBitwise) {
+    // expand() locates x's segment once for all cardinal splines; it must
+    // return the bits of the per-function sum, inside the span, exactly on
+    // knots, and on the linear extrapolation outside it.
+    for (const Natural_spline_basis& basis :
+         {Natural_spline_basis(18), Natural_spline_basis(Vector{0.0, 0.1, 0.35, 0.4, 0.8, 1.0})}) {
+        Vector alpha(basis.size());
+        for (std::size_t i = 0; i < alpha.size(); ++i) {
+            alpha[i] = std::cos(2.3 * static_cast<double>(i)) * 3.0 - 0.5;
+        }
+        Vector points = linspace(-0.2, 1.2, 1401);
+        points.insert(points.end(), basis.knots().begin(), basis.knots().end());
+        for (double x : points) {
+            double sum = 0.0;
+            for (std::size_t i = 0; i < alpha.size(); ++i) sum += alpha[i] * basis.value(i, x);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(basis.expand(alpha, x)),
+                      std::bit_cast<std::uint64_t>(sum))
+                << "x = " << x;
+        }
+    }
 }
 
 TEST(NaturalSplineBasis, ExpandValidatesCoefficientCount) {

@@ -659,6 +659,10 @@ int run_experiment_mode(const Cli_options& cli) {
                     "peak");
         Series_writer writer("phi", grid);
         std::vector<std::pair<std::string, double>> lambdas;
+        // Every estimate of a condition shares its design's basis: the
+        // grid design is built once and each profile is one mat-vec,
+        // bit-identical to estimate.sample(grid).
+        std::optional<Design_matrix> grid_design;
         auto scores = condition.synchrony.begin();
         for (const Batch_entry& gene : condition.genes) {
             if (!gene.estimate.has_value()) {
@@ -666,7 +670,8 @@ int run_experiment_mode(const Cli_options& cli) {
                 std::printf("  %-16s FAILED: %s\n", gene.label.c_str(), gene.error.c_str());
                 continue;
             }
-            writer.add(gene.label, gene.estimate->sample(grid));
+            if (!grid_design) grid_design = gene.estimate->basis().design_matrix_auto(grid);
+            writer.add(gene.label, *grid_design * gene.estimate->coefficients());
             lambdas.emplace_back(gene.label, gene.lambda);
             if (scores != condition.synchrony.end() && scores->label == gene.label) {
                 std::printf("  %-16s %-10.3e %-8.3f %-8.3f %-8.3f\n", gene.label.c_str(),
@@ -831,6 +836,9 @@ int cmd_stream(const Cli_options& cli) {
     const Vector grid = linspace(0.0, 1.0, 201);
     Series_writer writer("phi", grid);
     std::vector<std::pair<std::string, double>> lambdas;
+    // The session's streams share one design basis: one grid design, one
+    // mat-vec per profile (bit-identical to current().sample(grid)).
+    std::optional<Design_matrix> grid_design;
     std::printf("  %-16s %-9s %-10s %-8s %-10s\n", "gene", "observed", "converged",
                 "order", "lambda");
     for (const std::string& label : session.labels()) {
@@ -839,7 +847,9 @@ int cmd_stream(const Cli_options& cli) {
         std::printf("  %-16s %zu/%-7zu %-10s %-8.3f %-10.3e\n", label.c_str(),
                     stream.observed(), times.size(), stream.converged() ? "yes" : "no",
                     stream.order_parameter(), stream.options().lambda);
-        writer.add(label, stream.current().sample(grid));
+        const Single_cell_estimate& estimate = stream.current();
+        if (!grid_design) grid_design = estimate.basis().design_matrix_auto(grid);
+        writer.add(label, *grid_design * estimate.coefficients());
         lambdas.emplace_back(label, stream.options().lambda);
     }
     const std::string output = cli.output.empty() ? "streamed.csv" : cli.output;

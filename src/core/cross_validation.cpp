@@ -35,17 +35,26 @@ std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed
 Kfold_plan::Kfold_plan(const Deconvolver& deconvolver, const Measurement_series& series,
                        const Deconvolution_options& base_options, std::size_t folds,
                        std::uint64_t seed)
-    : artifacts_(deconvolver.artifacts()), values_(series.values) {
+    : backend_(base_options.backend), qp_(base_options.qp), values_(series.values) {
     series.validate();
     if (folds < 2) throw std::invalid_argument("k-fold CV: need at least 2 folds");
+    const std::shared_ptr<const Design_artifacts>& artifacts = deconvolver.artifacts();
     const std::size_t m = series.size();
-    if (m != artifacts_->times.size()) {
+    if (m != artifacts->times.size()) {
         throw std::invalid_argument("Deconvolver: series length differs from kernel time grid");
     }
     folds = std::min(folds, m);
     weights_ = series.weights();
     try {
-        qp_.emplace(artifacts_, base_options);
+        prep_ = Constrained_qp(artifacts, base_options).prep();
+        if (prep_ == artifacts->constraint_prep) {
+            // Aliasing pointer: the design's blocks, kept alive by the design.
+            reduced_ =
+                std::shared_ptr<const Reduced_design>(artifacts, &artifacts->reduced_design);
+        } else {
+            reduced_ = std::make_shared<const Reduced_design>(
+                make_reduced_design(artifacts->kernel_matrix, artifacts->penalty, *prep_));
+        }
     } catch (const std::runtime_error&) {
         // Left empty: every fold fit is disqualified in score().
     }
@@ -59,7 +68,22 @@ Kfold_plan::Kfold_plan(const Deconvolver& deconvolver, const Measurement_series&
             (p % folds == f ? fold.test : train).push_back(perm[p]);
         }
         if (train.size() < 2) continue;
-        fold.train = row_normal_equations(artifacts_->kernel_design, train, values_, weights_);
+        if (reduced_) {
+            const Reduced_design& reduced = *reduced_;
+            Matrix kz_train(train.size(), reduced.kz.cols());
+            Vector w_train(train.size());
+            Vector weighted_residual(train.size());  // W (Kx0 - G) on the train rows
+            for (std::size_t r = 0; r < train.size(); ++r) {
+                const std::size_t idx = train[r];
+                kz_train.set_row(r, reduced.kz.row(idx));
+                w_train[r] = weights_[idx];
+                weighted_residual[r] = weights_[idx] * (reduced.kx0[idx] - values_[idx]);
+            }
+            const double ridge = base_options.ridge;
+            fold.hessian = 2.0 * (weighted_gram(kz_train, w_train) + ridge * reduced.ztz);
+            fold.gradient =
+                2.0 * (transposed_times(kz_train, weighted_residual) + ridge * reduced.ztx0);
+        }
         folds_.push_back(std::move(fold));
     }
 }
@@ -67,21 +91,46 @@ Kfold_plan::Kfold_plan(const Deconvolver& deconvolver, const Measurement_series&
 double Kfold_plan::score(double lambda) const {
     if (lambda < 0.0) throw std::invalid_argument("Deconvolver: lambda must be >= 0");
     static telemetry::Counter& solves = telemetry::counter("cv.solves");
+    constexpr double disqualified = std::numeric_limits<double>::infinity();
     double score = 0.0;
     for (const Fold& fold : folds_) {
-        if (!qp_) return std::numeric_limits<double>::infinity();
+        if (!reduced_) return disqualified;
+        if (backend_ == Qp_backend::nnls) {
+            throw std::invalid_argument(
+                "k-fold CV: the nnls backend cannot solve the deconvolution QP (its "
+                "constraints are not positivity-only)");
+        }
         solves.add();
-        Qp_result fit;
-        try {
-            fit = qp_->solve(fold.train, lambda);
-        } catch (const std::runtime_error&) {
-            // A lambda that breaks the QP is disqualified.
-            return std::numeric_limits<double>::infinity();
+        const Reduced_design& reduced = *reduced_;
+        const std::size_t nz = reduced.kz.cols();
+        // y stays empty on a fully determined geometry: x = x0 for every lambda.
+        Vector y;
+        if (nz > 0) {
+            Matrix hessian = fold.hessian;
+            for (std::size_t i = 0; i < nz; ++i) {
+                for (std::size_t j = 0; j < nz; ++j) {
+                    hessian(i, j) += lambda * reduced.penalty(i, j);
+                }
+            }
+            Vector gradient = fold.gradient;
+            axpy(lambda, reduced.penalty_gradient, gradient);
+            try {
+                y = solve_qp_dual_reduced(hessian, gradient, prep_->reduced_inequality(),
+                                          prep_->reduced_ineq_rhs(), qp_)
+                        .x;
+            } catch (const std::runtime_error&) {
+                // A lambda that breaks the QP is disqualified.
+                return disqualified;
+            }
         }
         for (std::size_t idx : fold.test) {
-            const double r = values_[idx] - row_dot(artifacts_->kernel_design, idx, fit.x);
+            double predicted = reduced.kx0[idx];
+            for (std::size_t j = 0; j < nz; ++j) predicted += reduced.kz(idx, j) * y[j];
+            const double r = values_[idx] - predicted;
             score += weights_[idx] * r * r;
         }
+        // Also catches a non-finite y: every held-out prediction reads all of it.
+        if (!std::isfinite(score)) return disqualified;
     }
     return score / static_cast<double>(values_.size());
 }
@@ -101,6 +150,10 @@ Lambda_selection Kfold_plan::select(const Vector& lambda_grid, Worker_pool* pool
     } else {
         for (std::size_t li = 0; li < lambda_grid.size(); ++li) score_one(li);
     }
+    static telemetry::Counter& disqualified = telemetry::counter("cv.lambdas_disqualified");
+    disqualified.add(static_cast<std::uint64_t>(
+        std::count_if(sel.scores.begin(), sel.scores.end(),
+                      [](double s) { return std::isinf(s); })));
 
     const auto best = std::min_element(sel.scores.begin(), sel.scores.end());
     sel.best_lambda = sel.lambdas[static_cast<std::size_t>(best - sel.scores.begin())];

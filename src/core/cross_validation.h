@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,13 +57,19 @@ Lambda_selection select_lambda_gcv(const Deconvolver& deconvolver,
 std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed);
 
 /// One series' k-fold cross-validation, planned once and scored per
-/// lambda. Construction does all the lambda-independent work: series
-/// checks, the seeded fold assignment, each fold's held-out rows, its
-/// train-row Gram K'WK and gradient -2 K'WG, and the constraint geometry
-/// (Constrained_qp). Scoring a lambda then only solves each fold's
-/// constrained QP and predicts its held-out rows — the same arithmetic,
-/// in the same order, as fitting each fold with
-/// Deconvolver::estimate_on_rows, so scores are bit-identical to it.
+/// lambda in the equality null space x = x0 + Z y. Construction does all
+/// the lambda-independent work: series checks, the seeded fold
+/// assignment, each fold's held-out rows, and its reduced data term
+/// P = 2 (KZ)'W(KZ) + 2 ridge Z'Z, p = 2 (KZ)'W(Kx0 - G) + 2 ridge Z'x0
+/// over the train rows, from the design's Reduced_design (rebuilt once
+/// here for a constraint geometry the design did not cache). Scoring a
+/// lambda then assembles each fold's Hr = P + lambda Q, gr = p + lambda q
+/// in O(nz^2), runs the Goldfarb-Idnani core on it, and predicts each
+/// held-out row as (KZ)_i y + (Kx0)_i. This is the per-fold
+/// Deconvolver::estimate_on_rows fit with its products reassociated:
+/// scores agree with it to rounding (<= 1e-6 relative on the test
+/// fixtures), not bit for bit. Each score is a pure function of
+/// (plan, lambda), so a sweep is bitwise the same at any thread count.
 /// A fold with fewer than 2 train rows is skipped. Immutable after
 /// construction: score() may run concurrently for different lambdas.
 class Kfold_plan {
@@ -77,8 +82,9 @@ class Kfold_plan {
                std::uint64_t seed);
 
     /// Mean weighted held-out squared error at `lambda`; +inf when a
-    /// fold's constrained fit fails (that lambda is disqualified).
-    /// Throws std::invalid_argument for lambda < 0.
+    /// fold's constrained fit fails or is not finite (that lambda is
+    /// disqualified). Throws std::invalid_argument for lambda < 0 and for
+    /// the nnls backend, which cannot solve the deconvolution QP.
     double score(double lambda) const;
 
     /// Score every grid point — in parallel over `pool` when given — and
@@ -89,13 +95,16 @@ class Kfold_plan {
   private:
     struct Fold {
         std::vector<std::size_t> test;  ///< held-out rows
-        Row_normal_equations train;     ///< K'WK and -2 K'WG over the rest
+        Matrix hessian;                 ///< P over the train rows
+        Vector gradient;                ///< p over the train rows
     };
 
-    std::shared_ptr<const Design_artifacts> artifacts_;
     /// Empty when the constraint geometry itself cannot be built: every
     /// fold fit fails, as it did when each fit rebuilt the geometry.
-    std::optional<Constrained_qp> qp_;
+    std::shared_ptr<const Qp_constraint_prep> prep_;
+    std::shared_ptr<const Reduced_design> reduced_;
+    Qp_backend backend_;
+    Qp_options qp_;
     Vector values_;
     Vector weights_;
     std::vector<Fold> folds_;

@@ -90,10 +90,11 @@ Row_normal_equations row_normal_equations(const Design_matrix& kernel,
 /// The estimator's constrained QP for one constraint geometry, resolved
 /// once and then solved for any number of objectives. A geometry matching
 /// the design's reuses its cached blocks and reduction; any other geometry
-/// is rebuilt here (the pre-engine slow path). Deconvolver::estimate_on_rows
-/// and the k-fold plan (core/cross_validation.h) both solve through this,
-/// so every constrained fit assembles its Hessian and dispatches the same
-/// way. Immutable after construction: concurrent solve() calls are safe.
+/// is rebuilt here (the pre-engine slow path). Every full-space
+/// constrained fit (Deconvolver::estimate_on_rows, hence estimate) solves
+/// through this; the k-fold plan (core/cross_validation.h) resolves its
+/// geometry here and scores folds in the reduced space. Immutable after
+/// construction: concurrent solve() calls are safe.
 class Constrained_qp {
   public:
     /// `options` supplies the constraint geometry, ridge, backend and QP
@@ -107,6 +108,10 @@ class Constrained_qp {
     /// and g = -2 K'WG from `data`, under the constraints with the
     /// options' backend. Propagates QP failures as std::runtime_error.
     Qp_result solve(const Row_normal_equations& data, double lambda) const;
+
+    /// The geometry's null-space reduction: the design's own when the
+    /// constraint options match it.
+    const std::shared_ptr<const Qp_constraint_prep>& prep() const { return prep_; }
 
   private:
     std::shared_ptr<const Design_artifacts> artifacts_;
@@ -174,7 +179,8 @@ class Deconvolver {
     /// Constrained estimate restricted to a subset of measurement rows.
     /// `rows` indexes into the kernel time grid; duplicates are rejected.
     /// One fold fit of k-fold cross-validation, which Kfold_plan
-    /// reproduces bit for bit without refitting from scratch.
+    /// reproduces in the equality null space to rounding (not bitwise)
+    /// without refitting from scratch.
     Single_cell_estimate estimate_on_rows(const Measurement_series& series,
                                           const std::vector<std::size_t>& rows,
                                           const Deconvolution_options& options) const;

@@ -117,8 +117,12 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
     // sequential and pipelined paths.
     static telemetry::Counter& conditions_done = telemetry::counter("experiment.conditions_done");
     static telemetry::Counter& genes_done = telemetry::counter("experiment.genes_done");
+    static telemetry::Counter& genes_failed = telemetry::counter("experiment.genes_failed");
     conditions_done.add();
     genes_done.add(out.genes.size());
+    genes_failed.add(static_cast<std::uint64_t>(
+        std::count_if(out.genes.begin(), out.genes.end(),
+                      [](const Batch_entry& entry) { return !entry.estimate.has_value(); })));
 
     for (const Batch_entry& entry : out.genes) {
         if (entry.estimate.has_value()) previous_lambda[entry.label] = entry.lambda;

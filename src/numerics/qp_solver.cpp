@@ -384,13 +384,16 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     const std::size_t max_outer = options.max_iterations + 10 * (mi + 1);
 
     // H^{-1} c_r, solved at most once per constraint per call: every
-    // inner step reuses the columns of the whole active set.
-    std::vector<Vector> hinv_rows(mi);
+    // inner step reuses the columns of the whole active set. Allocated on
+    // first use — most solves exit at the unconstrained optimum.
+    std::vector<Vector> hinv_rows;
     const auto hinv_row = [&](std::size_t r) -> const Vector& {
+        if (hinv_rows.empty()) hinv_rows.resize(mi);
         if (hinv_rows[r].empty()) hinv_rows[r] = h_solve(cr.row(r));
         return hinv_rows[r];
     };
 
+    bool scanned_feasible = false;  // the last scan found no violated inactive row
     for (std::size_t outer = 0; outer < max_outer; ++outer) {
         // Most violated inactive constraint.
         double worst = -options.constraint_tol;
@@ -403,7 +406,10 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
                 j = r;
             }
         }
-        if (j == mi) break;  // primal feasible: done
+        if (j == mi) {  // primal feasible: done
+            scanned_feasible = true;
+            break;
+        }
 
         const Vector cj = cr.row(j);
         const Vector& hic = hinv_row(j);
@@ -481,10 +487,17 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
     result.active_set = std::move(active);
     std::sort(result.active_set.begin(), result.active_set.end());
     // The dual method terminates at primal feasibility; verify it rather
-    // than trusting the loop bound.
+    // than trusting the loop bound. After a clean exit the final scan
+    // already held every inactive row within constraint_tol at this y,
+    // so only the active rows need the check.
     double violation = 0.0;
-    for (std::size_t r = 0; r < mi; ++r) {
+    const auto check_row = [&](std::size_t r) {
         violation = std::max(violation, dr[r] - dot_row(cr, r, result.x));
+    };
+    if (scanned_feasible) {
+        for (std::size_t r : result.active_set) check_row(r);
+    } else {
+        for (std::size_t r = 0; r < mi; ++r) check_row(r);
     }
     if (violation > 100.0 * options.constraint_tol) {
         throw std::runtime_error("solve_qp_dual: failed to reach primal feasibility");

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "biology/gene_profiles.h"
+#include "core/batch.h"
 #include "core/batch_engine.h"
 #include "core/forward_model.h"
 #include "spline/spline_basis.h"
@@ -42,11 +43,14 @@ Kernel_grid* CrossValidationTest::kernel_ = nullptr;
 Deconvolver* CrossValidationTest::deconvolver_ = nullptr;
 
 // ---------------------------------------------------------------------------
-// Oracle: k-fold scoring as it ran before the fold plan — one full
+// Oracle: k-fold scoring as a full-space refit — one
 // Deconvolver::estimate_on_rows fit per (lambda, fold), held-out rows
-// predicted from the fit's coefficients. Kfold_plan must reproduce every
-// score bit for bit.
+// predicted from the fit's coefficients. Kfold_plan scores the same fits
+// in the equality null space, so its scores match to rounding
+// (kScoreRelTol), its disqualified lambdas and selected lambda exactly.
 // ---------------------------------------------------------------------------
+
+constexpr double kScoreRelTol = 1e-6;
 
 double oracle_lambda_score(const Deconvolver& deconvolver, const Measurement_series& series,
                            const Deconvolution_options& base_options,
@@ -95,13 +99,27 @@ Lambda_selection oracle_select(const Deconvolver& deconvolver, const Measurement
     return sel;
 }
 
-void expect_same_selection(const Lambda_selection& oracle, const Lambda_selection& got) {
+void expect_close_selection(const Lambda_selection& oracle, const Lambda_selection& got) {
     ASSERT_EQ(oracle.scores.size(), got.scores.size());
     for (std::size_t i = 0; i < oracle.scores.size(); ++i) {
-        EXPECT_EQ(oracle.scores[i], got.scores[i]) << "lambda " << oracle.lambdas[i];
+        EXPECT_EQ(std::isinf(oracle.scores[i]), std::isinf(got.scores[i]))
+            << "lambda " << oracle.lambdas[i];
+        if (std::isfinite(oracle.scores[i])) {
+            EXPECT_LE(std::abs(got.scores[i] - oracle.scores[i]),
+                      kScoreRelTol * std::abs(oracle.scores[i]))
+                << "lambda " << oracle.lambdas[i];
+        }
     }
     EXPECT_EQ(oracle.best_lambda, got.best_lambda);
     EXPECT_EQ(got.method, "kfold");
+}
+
+void expect_bitwise_selection(const Lambda_selection& expected, const Lambda_selection& got) {
+    ASSERT_EQ(expected.scores.size(), got.scores.size());
+    for (std::size_t i = 0; i < expected.scores.size(); ++i) {
+        EXPECT_EQ(expected.scores[i], got.scores[i]) << "lambda " << expected.lambdas[i];
+    }
+    EXPECT_EQ(expected.best_lambda, got.best_lambda);
 }
 
 /// Noisy series of three shape families, so the oracle sees different
@@ -226,7 +244,7 @@ TEST_F(CrossValidationTest, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(a.best_lambda, b.best_lambda);
 }
 
-TEST_F(CrossValidationTest, PlanMatchesPerFoldRefitOracleBitwise) {
+TEST_F(CrossValidationTest, PlanMatchesPerFoldRefitOracle) {
     // 1e308 overflows the Hessian: the QP throws and that lambda must be
     // disqualified (+inf) by both paths.
     Vector grid = default_lambda_grid(15, 1e-7, 1e1);
@@ -236,26 +254,52 @@ TEST_F(CrossValidationTest, PlanMatchesPerFoldRefitOracleBitwise) {
             oracle_select(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77);
         const Lambda_selection plan =
             select_lambda_kfold(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77);
-        expect_same_selection(oracle, plan);
+        expect_close_selection(oracle, plan);
         EXPECT_TRUE(std::isinf(plan.scores.back()));
         EXPECT_TRUE(std::isfinite(plan.best_lambda));
     }
 }
 
 TEST_F(CrossValidationTest, PlanMatchesOracleOnRebuiltConstraintGeometry) {
-    // A geometry the design did not cache: the plan rebuilds it once,
-    // the oracle once per fold fit.
+    // A geometry the design did not cache: the plan rebuilds it (and its
+    // reduced design) once, the oracle once per fold fit.
     Deconvolution_options options;
     options.constraints.positivity_points = 51;
     ASSERT_NE(options.constraints, deconvolver_->artifacts()->constraint_options);
     const Vector grid = default_lambda_grid(5, 1e-6, 1e0);
     for (const Measurement_series& series : oracle_panel(*kernel_)) {
-        expect_same_selection(oracle_select(*deconvolver_, series, options, grid, 4, 9),
-                              select_lambda_kfold(*deconvolver_, series, options, grid, 4, 9));
+        expect_close_selection(oracle_select(*deconvolver_, series, options, grid, 4, 9),
+                               select_lambda_kfold(*deconvolver_, series, options, grid, 4, 9));
     }
 }
 
-TEST_F(CrossValidationTest, EngineCrossValidateMatchesOracleAtOneAndFourThreads) {
+TEST_F(CrossValidationTest, FullyDeterminedGeometryScoresTheParticularSolution) {
+    // Equalities that pin every coefficient leave an empty null space:
+    // each fold fit is x0 whatever lambda, in the plan and the oracle alike.
+    auto pinned = std::make_shared<Design_artifacts>(*deconvolver_->artifacts());
+    const std::size_t n = pinned->basis->size();
+    pinned->constraints.equality = Matrix::identity(n);
+    pinned->constraints.equality_rhs = Vector(n, 1.5);
+    pinned->constraint_prep = std::make_shared<const Qp_constraint_prep>(
+        n, pinned->constraints.equality, pinned->constraints.equality_rhs,
+        pinned->constraints.inequality, pinned->constraints.inequality_rhs);
+    ASSERT_TRUE(pinned->constraint_prep->fully_determined());
+    pinned->reduced_design =
+        make_reduced_design(pinned->kernel_matrix, pinned->penalty, *pinned->constraint_prep);
+    const Deconvolver pinned_deconvolver(pinned);
+    const Vector grid = default_lambda_grid(5, 1e-6, 1e0);
+    for (const Measurement_series& series : oracle_panel(*kernel_)) {
+        const Lambda_selection plan = select_lambda_kfold(
+            pinned_deconvolver, series, Deconvolution_options{}, grid, 5, 77);
+        expect_close_selection(
+            oracle_select(pinned_deconvolver, series, Deconvolution_options{}, grid, 5, 77), plan);
+        for (double score : plan.scores) EXPECT_EQ(score, plan.scores.front());
+    }
+}
+
+TEST_F(CrossValidationTest, EngineCrossValidateBitwiseEqualsPlanAtOneAndFourThreads) {
+    // Each score is a pure function of (plan, lambda): scoring the grid in
+    // parallel changes no bit.
     Vector grid = default_lambda_grid(15, 1e-7, 1e1);
     grid.push_back(1e308);
     const std::vector<Measurement_series> panel = oracle_panel(*kernel_);
@@ -266,11 +310,68 @@ TEST_F(CrossValidationTest, EngineCrossValidateMatchesOracleAtOneAndFourThreads)
         for (const Measurement_series& series : panel) {
             const Lambda_selection got =
                 engine.cross_validate(series, Deconvolution_options{}, grid, 5, 77);
-            expect_same_selection(
-                oracle_select(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77), got);
+            expect_bitwise_selection(
+                select_lambda_kfold(*deconvolver_, series, Deconvolution_options{}, grid, 5, 77),
+                got);
             EXPECT_TRUE(std::isinf(got.scores.back()));
         }
     }
+}
+
+TEST_F(CrossValidationTest, DeconvolveOneIsTheColdEstimateAtTheSelectedLambda) {
+    // Only lambda selection runs in the null space; the estimate itself
+    // stays the full-space cold solve, bit for bit.
+    Batch_options options;
+    options.lambda_grid = default_lambda_grid(9, 1e-7, 1e1);
+    for (const Measurement_series& series : oracle_panel(*kernel_)) {
+        const Batch_entry entry =
+            deconvolve_one(*deconvolver_, series, options.lambda_grid, options);
+        ASSERT_TRUE(entry.estimate.has_value()) << entry.error;
+        const Lambda_selection sel = select_lambda_kfold(
+            *deconvolver_, series, Deconvolution_options{}, options.lambda_grid, 5, 77);
+        EXPECT_EQ(entry.lambda, sel.best_lambda);
+        Deconvolution_options at_selected;
+        at_selected.lambda = sel.best_lambda;
+        const Vector expected = deconvolver_->estimate(series, at_selected).coefficients();
+        ASSERT_EQ(entry.estimate->coefficients().size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(entry.estimate->coefficients()[i], expected[i]) << "coefficient " << i;
+        }
+    }
+}
+
+TEST_F(CrossValidationTest, OverflowingSeriesScoresAreInfOrFinite) {
+    // Values alternating +-1e308 overflow inside the fold fits. A fit or a
+    // held-out score that is not finite disqualifies its lambda; no NaN
+    // may reach the selection, where min_element would treat it as a
+    // winner by position.
+    Vector values(kernel_->times().size());
+    for (std::size_t m = 0; m < values.size(); ++m) values[m] = m % 2 == 0 ? 1e308 : -1e308;
+    const Measurement_series series =
+        Measurement_series::with_unit_sigma("huge", kernel_->times(), values);
+    const Lambda_selection sel = select_lambda_kfold(*deconvolver_, series,
+                                                     Deconvolution_options{},
+                                                     default_lambda_grid(), 5, 77);
+    for (std::size_t i = 0; i < sel.scores.size(); ++i) {
+        EXPECT_TRUE(std::isinf(sel.scores[i]) || std::isfinite(sel.scores[i]))
+            << "lambda " << sel.lambdas[i] << " scored " << sel.scores[i];
+        EXPECT_GE(sel.scores[i], 0.0) << "lambda " << sel.lambdas[i];
+    }
+}
+
+TEST_F(CrossValidationTest, NnlsBackendStillRejected) {
+    // The deconvolution constraints are never positivity-only: the nnls
+    // backend raises the same error class through the plan as through a
+    // per-fold refit.
+    const Measurement_series data =
+        forward_measurements(*kernel_, [](double) { return 2.0; });
+    Deconvolution_options options;
+    options.backend = Qp_backend::nnls;
+    const Vector grid = default_lambda_grid(3, 1e-5, 1e-1);
+    EXPECT_THROW(oracle_select(*deconvolver_, data, options, grid, 5, 77),
+                 std::invalid_argument);
+    EXPECT_THROW(select_lambda_kfold(*deconvolver_, data, options, grid, 5, 77),
+                 std::invalid_argument);
 }
 
 TEST_F(CrossValidationTest, PlanKeepsPerFitChecks) {

@@ -1,6 +1,7 @@
 # Finite-output invariant, end to end: a panel gene whose values alternate
 # +-1e308 overflows inside the solve. `run` must report it as a labeled
-# FAILED gene and exit 1, keep the finite gene, and write no NaN.
+# FAILED gene and exit 1, keep the finite gene, write no NaN, and count
+# the failure in --metrics-json.
 #
 #   cmake -DCLI=<cellsync_deconvolve> -DWORK_DIR=<scratch dir> -P cli_nonfinite_gene_test.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -23,6 +24,7 @@ file(WRITE "${WORK_DIR}/panel.csv" "${panel}")
 execute_process(
   COMMAND "${CLI}" run --condition "wt=${WORK_DIR}/panel.csv" --cells 3000 --bins 60
           --seed 7 --threads 2 --output "${WORK_DIR}/out.csv"
+          --metrics-json "${WORK_DIR}/metrics.json"
   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
 message("${out}${err}")
 if(NOT code EQUAL 1)
@@ -37,4 +39,9 @@ if(profiles MATCHES "nan|inf")
 endif()
 if(NOT profiles MATCHES "\nphi,ok\n")
   message(FATAL_ERROR "the finite gene is missing from out.wt.csv")
+endif()
+file(READ "${WORK_DIR}/metrics.json" metrics)
+if(metrics MATCHES "\"telemetry_compiled\": true" AND
+   NOT metrics MATCHES "\"experiment\\.genes_failed\": 1[,\n]")
+  message(FATAL_ERROR "expected experiment.genes_failed == 1 in --metrics-json:\n${metrics}")
 endif()

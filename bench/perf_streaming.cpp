@@ -6,7 +6,7 @@
 // arrival (Deconvolver::estimate_on_rows over the observed prefix — full
 // normal-equation rebuild + cold dual active-set solve). The streaming
 // engine replaces that with a rank-one normal-equation update plus a
-// warm-started QP re-solve, and its final estimate must still be
+// cold reduced QP re-solve, and its final estimate must still be
 // bit-identical to the batch estimate on the complete series — both the
 // speedup and the identity are asserted into BENCH_streaming.json.
 #include <cmath>
@@ -32,9 +32,8 @@ struct Streaming_fixture {
 /// benchmarks. The panel mirrors the paper's workload — cell-cycle
 /// regulated genes whose profiles sit at or near zero outside their
 /// expression window (ftsZ-like onsets, pulses), which is exactly where
-/// the positivity grid binds and the previous active set is worth
-/// warm-starting — plus two smooth constitutive-ish controls where the
-/// QP stays unconstrained.
+/// the positivity grid binds — plus two smooth constitutive-ish controls
+/// where the QP stays unconstrained.
 const Streaming_fixture& fixture() {
     static const Streaming_fixture fixed = [] {
         const Vector times = linspace(0.0, 180.0, 13);
@@ -109,7 +108,7 @@ void run_streaming_comparison(cellsync::bench::Bench_json& json) {
         cold_ms = pass == 0 ? ms : std::min(cold_ms, ms);
     }
 
-    // Streamed: rank-one updates + warm-started re-solves, serial like the
+    // Streamed: rank-one updates + reduced re-solves, serial like the
     // baseline so the comparison isolates the algorithmic change.
     std::vector<Single_cell_estimate> stream_final;
     Stream_solve_stats stats;
@@ -125,7 +124,6 @@ void run_streaming_comparison(cellsync::bench::Bench_json& json) {
             }
             stream_final.push_back(stream.current());
             stats.updates += stream.stats().updates;
-            stats.warm_accepts += stream.stats().warm_accepts;
             stats.cold_solves += stream.stats().cold_solves;
         }
         const double ms =
@@ -154,8 +152,8 @@ void run_streaming_comparison(cellsync::bench::Bench_json& json) {
     std::printf("streaming: %zu genes x %zu timepoints, lambda %.1e\n", fix.panel.size(),
                 timepoints, fixed_lambda);
     std::printf("  cold re-solve/timepoint : %9.1f ms\n", cold_ms);
-    std::printf("  streamed (rank-1 + warm): %9.1f ms (%zu warm, %zu cold solves)\n",
-                streamed_ms, stats.warm_accepts, stats.cold_solves);
+    std::printf("  streamed (rank-1 update): %9.1f ms (%zu cold solves)\n", streamed_ms,
+                stats.cold_solves);
     std::printf("  speedup                 : %9.2fx\n", speedup);
     std::printf("  final bit-identity      : %zu/%zu genes (max |diff| %.3e)\n\n", identical,
                 fix.panel.size(), max_diff);
@@ -165,14 +163,13 @@ void run_streaming_comparison(cellsync::bench::Bench_json& json) {
     json.add("streaming_cold_resolve_ms", cold_ms);
     json.add("streaming_streamed_ms", streamed_ms);
     json.add("streaming_speedup", speedup);
-    json.add("streaming_warm_accepts", static_cast<double>(stats.warm_accepts));
     json.add("streaming_cold_solves", static_cast<double>(stats.cold_solves));
     json.add("streaming_identical_genes", static_cast<double>(identical));
     json.add("streaming_max_coefficient_diff", max_diff);
 }
 
 /// One full 13-timepoint pass through a fresh stream (the ftsZ-like
-/// gene, whose active set stabilizes early — the warm path's home turf).
+/// gene).
 void bm_stream_full_pass(benchmark::State& state) {
     const Streaming_fixture& fix = fixture();
     const Measurement_series& series = fix.panel[0];

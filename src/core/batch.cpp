@@ -39,13 +39,7 @@ Batch_options resolve_batch_options(const Design_artifacts& artifacts,
     return resolved;
 }
 
-namespace {
-
-/// The finite-output invariant at the batch boundary: an estimate with a
-/// non-finite coefficient, fitted value or objective (finite but extreme
-/// inputs, e.g. values near 1e308, overflow inside the solve) is a failed
-/// gene, never a row of NaNs in a result file.
-void require_finite(const Single_cell_estimate& estimate) {
+void require_finite_estimate(const Single_cell_estimate& estimate) {
     const char* what = !all_finite(estimate.coefficients()) ? "coefficients"
                        : !all_finite(estimate.fitted)       ? "fitted values"
                        : !std::isfinite(estimate.objective) ? "objective"
@@ -55,8 +49,6 @@ void require_finite(const Single_cell_estimate& estimate) {
                                  " (input values too large for double precision?)");
     }
 }
-
-}  // namespace
 
 Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_series& series,
                            const Vector& lambda_grid, const Batch_options& options) {
@@ -70,7 +62,7 @@ Batch_entry deconvolve_one(const Deconvolver& deconvolver, const Measurement_ser
             deconv.lambda = sel.best_lambda;
         }
         Single_cell_estimate estimate = deconvolver.estimate(series, deconv);
-        require_finite(estimate);
+        require_finite_estimate(estimate);
         entry.estimate = std::move(estimate);
         entry.lambda = deconv.lambda;
     } catch (const std::exception& e) {

@@ -48,6 +48,13 @@ std::string exception_type_name(const std::exception& e);
 /// failure string stored in Batch_entry::error and Stream_update::error.
 std::string labeled_task_error(const std::string& label, const std::exception& e);
 
+/// The finite-output invariant, shared by the batch runner and the
+/// streaming engine: an estimate with a non-finite coefficient, fitted
+/// value or objective (finite but extreme inputs, e.g. values near 1e308,
+/// overflow inside the solve) is a failed gene, never a row of NaNs in a
+/// result file. Throws std::runtime_error naming the non-finite part.
+void require_finite_estimate(const Single_cell_estimate& estimate);
+
 /// Normalize batch options against a design: pin the constraint geometry
 /// to the artifacts' (so the design's cached constraint blocks are always
 /// the ones used) and resolve an empty lambda_grid to

@@ -11,22 +11,29 @@ namespace cellsync {
 
 namespace {
 
-std::string trim(const std::string& s) {
+std::string_view trim(std::string_view s) {
     const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) return "";
+    if (begin == std::string_view::npos) return {};
     const auto end = s.find_last_not_of(" \t\r");
     return s.substr(begin, end - begin + 1);
 }
 
 }  // namespace
 
-std::vector<std::string> csv_split_fields(const std::string& line) {
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream ss(line);
-    while (std::getline(ss, field, ',')) fields.push_back(trim(field));
-    if (!line.empty() && line.back() == ',') fields.push_back("");
-    return fields;
+std::string_view csv_line_content(std::string_view line) {
+    const std::string_view t = trim(line);
+    return !t.empty() && t.front() == '#' ? std::string_view() : t;
+}
+
+void csv_split_fields(std::string_view line, std::vector<std::string_view>& fields) {
+    fields.clear();
+    if (line.empty()) return;
+    for (std::size_t begin = 0;;) {
+        const std::size_t comma = line.find(',', begin);
+        fields.push_back(trim(line.substr(begin, comma - begin)));
+        if (comma == std::string_view::npos) return;
+        begin = comma + 1;
+    }
 }
 
 namespace {
@@ -34,7 +41,7 @@ namespace {
 /// How a strict double parse can fail; `ok` means a finite value landed.
 enum class Number_error { ok, out_of_range, malformed, non_finite };
 
-Number_error parse_double_core(const std::string& field, double& value) {
+Number_error parse_double_core(std::string_view field, double& value) {
     value = 0.0;
     const char* first = field.data();
     const char* last = field.data() + field.size();
@@ -58,23 +65,23 @@ Number_error parse_double_core(const std::string& field, double& value) {
 
 }  // namespace
 
-double csv_parse_field(const std::string& field, std::size_t line_number) {
+double csv_parse_field(std::string_view field, std::size_t line_number) {
     double value = 0.0;
     switch (parse_double_core(field, value)) {
         case Number_error::ok:
             return value;
         case Number_error::out_of_range:
-            throw std::runtime_error("CSV line " + std::to_string(line_number) +
-                                     ": field '" + field + "' is out of double range");
+            throw std::runtime_error("CSV line " + std::to_string(line_number) + ": field '" +
+                                     std::string(field) + "' is out of double range");
         case Number_error::non_finite:
             throw std::runtime_error("CSV line " + std::to_string(line_number) +
-                                     ": non-finite field '" + field +
+                                     ": non-finite field '" + std::string(field) +
                                      "' (inf/nan are not valid values)");
         case Number_error::malformed:
             break;
     }
     throw std::runtime_error("CSV line " + std::to_string(line_number) +
-                             ": non-numeric field '" + field + "'");
+                             ": non-numeric field '" + std::string(field) + "'");
 }
 
 double parse_strict_double(const std::string& text) {
@@ -114,14 +121,16 @@ std::uint64_t parse_strict_uint64(const std::string& text) {
 Table read_csv(std::istream& in) {
     std::string line;
     std::size_t line_number = 0;
+    std::vector<std::string_view> fields;
 
     // Header.
     std::vector<std::string> header;
     while (std::getline(in, line)) {
         ++line_number;
-        const std::string t = trim(line);
-        if (t.empty() || t.front() == '#') continue;
-        header = csv_split_fields(t);
+        const std::string_view t = csv_line_content(line);
+        if (t.empty()) continue;
+        csv_split_fields(t, fields);
+        header.assign(fields.begin(), fields.end());
         break;
     }
     if (header.empty()) throw std::runtime_error("CSV: empty or missing header");
@@ -132,9 +141,9 @@ Table read_csv(std::istream& in) {
     std::vector<Vector> columns(header.size());
     while (std::getline(in, line)) {
         ++line_number;
-        const std::string t = trim(line);
-        if (t.empty() || t.front() == '#') continue;
-        const std::vector<std::string> fields = csv_split_fields(t);
+        const std::string_view t = csv_line_content(line);
+        if (t.empty()) continue;
+        csv_split_fields(t, fields);
         if (fields.size() != header.size()) {
             throw std::runtime_error("CSV line " + std::to_string(line_number) + ": expected " +
                                      std::to_string(header.size()) + " fields, got " +

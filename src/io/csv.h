@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/table.h"
@@ -27,15 +28,22 @@ Table read_csv_string(const std::string& text);
 /// opened, plus the parse errors above.
 Table read_csv_file(const std::string& path);
 
+/// The line-level rules of read_csv, shared with the incremental record
+/// reader (io/stream_records.h): `line` without its surrounding blanks
+/// (' ', '\t', '\r'), or an empty view for a blank or '#' comment line.
+std::string_view csv_line_content(std::string_view line);
+
 /// Split one CSV line into trimmed fields (',' separator; a trailing ','
-/// yields a final empty field) — the exact field semantics of read_csv,
-/// shared with the incremental record reader (io/stream_records.h).
-std::vector<std::string> csv_split_fields(const std::string& line);
+/// yields a final empty field; an empty line has no fields) — the field
+/// semantics of read_csv and the record reader. `fields` is cleared
+/// first and its views point into `line`, so a caller that reuses it
+/// splits without allocating.
+void csv_split_fields(std::string_view line, std::vector<std::string_view>& fields);
 
 /// Parse one numeric CSV field under read_csv's rules: optional leading
 /// '+', finite values only. Throws std::runtime_error naming
 /// `line_number` on malformed or non-finite input.
-double csv_parse_field(const std::string& field, std::size_t line_number);
+double csv_parse_field(std::string_view field, std::size_t line_number);
 
 /// The repo-wide number-parsing policy (std::from_chars, whole-string,
 /// optional leading '+', finite only), outside a CSV context: the same

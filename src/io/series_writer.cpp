@@ -1,6 +1,7 @@
 #include "io/series_writer.h"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "io/csv.h"
 
@@ -11,6 +12,10 @@ Series_writer::Series_writer(std::string axis_name, Vector axis_values) {
 }
 
 Series_writer& Series_writer::add(const std::string& name, const Vector& values) {
+    if (!all_finite(values)) {
+        throw std::invalid_argument("Series_writer: series '" + name +
+                                    "' has a non-finite value");
+    }
     table_.add_column(name, values);
     return *this;
 }

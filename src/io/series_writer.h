@@ -15,8 +15,10 @@ class Series_writer {
     /// The abscissa column (e.g. "minutes" or "phi").
     Series_writer(std::string axis_name, Vector axis_values);
 
-    /// Add a series; length must match the abscissa.
-    /// Throws std::invalid_argument on mismatch or duplicate name.
+    /// Add a series; length must match the abscissa and every value must
+    /// be finite (a result file never carries NaN or inf). Throws
+    /// std::invalid_argument on mismatch, duplicate name or a non-finite
+    /// value.
     Series_writer& add(const std::string& name, const Vector& values);
 
     /// The accumulated table.

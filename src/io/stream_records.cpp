@@ -8,25 +8,13 @@
 
 namespace cellsync {
 
-namespace {
-
-std::string trim_line(const std::string& s) {
-    const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) return "";
-    const auto end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
-}
-
-}  // namespace
-
 Record_stream::Record_stream(std::istream& in) : in_(in) {
-    std::string line;
-    std::vector<std::string> header;
-    while (std::getline(in_, line)) {
+    std::vector<std::string_view>& header = fields_;
+    while (std::getline(in_, line_)) {
         ++line_number_;
-        const std::string t = trim_line(line);
-        if (t.empty() || t.front() == '#') continue;
-        header = csv_split_fields(t);
+        const std::string_view t = csv_line_content(line_);
+        if (t.empty()) continue;
+        csv_split_fields(t, header);
         break;
     }
     if (header.empty()) {
@@ -35,14 +23,14 @@ Record_stream::Record_stream(std::istream& in) : in_(in) {
     bool has_time = false, has_gene = false, has_value = false;
     // A repeated column is ambiguous (which copy holds the data?); the old
     // last-one-wins behavior silently read the wrong field, so reject.
-    const auto reject_duplicate = [&](bool seen, const std::string& name) {
+    const auto reject_duplicate = [&](bool seen, std::string_view name) {
         if (seen) {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
-                                     ": duplicate column '" + name + "'");
+                                     ": duplicate column '" + std::string(name) + "'");
         }
     };
     for (std::size_t c = 0; c < header.size(); ++c) {
-        const std::string& name = header[c];
+        const std::string_view name = header[c];
         if (name == "time") {
             reject_duplicate(has_time, name);
             time_col_ = c;
@@ -61,7 +49,7 @@ Record_stream::Record_stream(std::istream& in) : in_(in) {
             has_sigma_ = true;
         } else {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
-                                     ": unexpected column '" + name +
+                                     ": unexpected column '" + std::string(name) +
                                      "' (want time, gene, value[, sigma])");
         }
     }
@@ -73,23 +61,22 @@ Record_stream::Record_stream(std::istream& in) : in_(in) {
 }
 
 std::optional<Expression_record> Record_stream::parse_next() {
-    std::string line;
-    while (std::getline(in_, line)) {
+    while (std::getline(in_, line_)) {
         ++line_number_;
-        const std::string t = trim_line(line);
-        if (t.empty() || t.front() == '#') continue;
+        const std::string_view t = csv_line_content(line_);
+        if (t.empty()) continue;
 
-        const std::vector<std::string> fields = csv_split_fields(t);
-        if (fields.size() != column_count_) {
+        csv_split_fields(t, fields_);
+        if (fields_.size() != column_count_) {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
                                      ": expected " + std::to_string(column_count_) +
-                                     " fields, got " + std::to_string(fields.size()));
+                                     " fields, got " + std::to_string(fields_.size()));
         }
         Expression_record record;
-        record.time = csv_parse_field(fields[time_col_], line_number_);
-        record.gene = fields[gene_col_];
-        record.value = csv_parse_field(fields[value_col_], line_number_);
-        if (has_sigma_) record.sigma = csv_parse_field(fields[sigma_col_], line_number_);
+        record.time = csv_parse_field(fields_[time_col_], line_number_);
+        record.gene = fields_[gene_col_];
+        record.value = csv_parse_field(fields_[value_col_], line_number_);
+        if (has_sigma_) record.sigma = csv_parse_field(fields_[sigma_col_], line_number_);
         if (record.gene.empty()) {
             throw std::runtime_error("record stream line " + std::to_string(line_number_) +
                                      ": empty gene name");

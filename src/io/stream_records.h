@@ -6,13 +6,15 @@
 // appended to as the experiment runs. Unlike io/csv.h's Table reader
 // (which materializes whole numeric columns), Record_stream hands records
 // back one at a time as they are pulled off the stream, holding only the
-// current line in memory; the field-splitting and number-parsing rules
-// are shared with read_csv (csv_split_fields / csv_parse_field).
+// current line in memory; the line, field-splitting and number-parsing
+// rules are shared with read_csv (csv_line_content / csv_split_fields /
+// csv_parse_field).
 #pragma once
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cellsync {
@@ -61,6 +63,8 @@ class Record_stream {
     std::optional<Expression_record> parse_next();
 
     std::istream& in_;
+    std::string line_;                     // current line, reused across reads
+    std::vector<std::string_view> fields_; // views into line_
     std::size_t time_col_ = 0;
     std::size_t gene_col_ = 0;
     std::size_t value_col_ = 0;

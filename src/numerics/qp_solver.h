@@ -121,39 +121,6 @@ Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
                                  const Qp_constraint_prep& prep,
                                  const Qp_options& options = {});
 
-/// Warm-started solve of a reduced, inequality-only QP from a hinted
-/// active set (e.g. the binding rows of the previous solve in a sequence
-/// of nearby problems, such as a gene stream gaining one timepoint at a
-/// time), under the same strict-convexity ridge as
-/// solve_qp_dual_reduced, so warm and cold paths agree on what
-/// "optimal" means. Runs a bounded active-set repair: solve the KKT
-/// system with the working rows pinned at their bounds, drop the most
-/// dual-infeasible row or add the most violated one, for at most a
-/// handful of direct solves (an unchanged active set is accepted after
-/// the first). The accepted point is optimal by construction of the
-/// exit condition: no negative multiplier, no violated inequality.
-/// Returns std::nullopt when the hint is empty or the attempt does not
-/// converge cleanly (dependent rows, repair budget exceeded); callers
-/// fall back to the cold solve_qp_dual_reduced path. Throws
-/// std::invalid_argument on shape mismatch or out-of-range hint
-/// indices.
-std::optional<Qp_result> try_solve_qp_reduced_warm(const Matrix& hessian,
-                                                   const Vector& gradient,
-                                                   const Matrix& ineq_matrix,
-                                                   const Vector& ineq_rhs,
-                                                   const std::vector<std::size_t>& active_hint,
-                                                   const Qp_options& options = {});
-
-/// try_solve_qp_reduced_warm through a shared constraint preparation:
-/// reduces the objective onto prep's equality null space, warm-solves,
-/// and maps the verified optimum back to full space. Same return
-/// contract as the reduced form.
-std::optional<Qp_result> try_solve_qp_prepared_warm(const Matrix& hessian,
-                                                    const Vector& gradient,
-                                                    const Qp_constraint_prep& prep,
-                                                    const std::vector<std::size_t>& active_hint,
-                                                    const Qp_options& options = {});
-
 /// Solve the QP by the Goldfarb-Idnani dual active-set method.
 ///
 /// Requires a strictly convex Hessian (positive definite after the

@@ -57,16 +57,29 @@ Vector profile_probabilities(const Vector& values, const char* caller) {
 
 }  // namespace
 
+Phase_circle phase_circle(const Vector& phi) {
+    Phase_circle circle{Vector(phi.size()), Vector(phi.size())};
+    for (std::size_t i = 0; i < phi.size(); ++i) {
+        const double a = 2.0 * std::numbers::pi * phi[i];
+        circle.cos_phi[i] = std::cos(a);
+        circle.sin_phi[i] = std::sin(a);
+    }
+    return circle;
+}
+
 double profile_order_parameter(const Vector& phi, const Vector& values) {
-    if (phi.size() != values.size()) {
+    return circle_order_parameter(phase_circle(phi), values);
+}
+
+double circle_order_parameter(const Phase_circle& circle, const Vector& values) {
+    if (circle.cos_phi.size() != values.size()) {
         throw std::invalid_argument("profile_order_parameter: grid/profile size mismatch");
     }
     const Vector p = profile_probabilities(values, "profile_order_parameter");
     double re = 0.0, im = 0.0;
     for (std::size_t i = 0; i < p.size(); ++i) {
-        const double a = 2.0 * std::numbers::pi * phi[i];
-        re += p[i] * std::cos(a);
-        im += p[i] * std::sin(a);
+        re += p[i] * circle.cos_phi[i];
+        im += p[i] * circle.sin_phi[i];
     }
     return std::sqrt(re * re + im * im);
 }

@@ -36,6 +36,18 @@ double phase_entropy(const std::vector<Snapshot_entry>& snapshot, std::size_t bi
 /// clamped profile has no positive mass.
 double profile_order_parameter(const Vector& phi, const Vector& values);
 
+/// A phase grid's points on the unit circle, (cos 2 pi phi, sin 2 pi phi):
+/// computed once to score many profiles sampled on the same grid.
+struct Phase_circle {
+    Vector cos_phi;
+    Vector sin_phi;
+};
+Phase_circle phase_circle(const Vector& phi);
+
+/// profile_order_parameter on a precomputed grid: the same value, bit for
+/// bit, without re-evaluating the trigonometry.
+double circle_order_parameter(const Phase_circle& circle, const Vector& values);
+
 /// Normalized Shannon entropy of a sampled profile's probability vector:
 /// 0 when all mass is at one sample, 1 for a flat profile. Same
 /// preconditions as profile_order_parameter (needs >= 2 samples).

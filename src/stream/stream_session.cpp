@@ -15,17 +15,19 @@ Stream_session::Stream_session(const Cell_cycle_config& config,
                                Kernel_cache& cache, const Stream_session_options& options)
     : options_(options), pool_(options.threads) {
     kernel_ = cache.get_or_build(config, volume_model, times, options_.kernel);
-    artifacts_ =
+    prior_ = make_stream_prior(
         make_design_artifacts(std::make_shared<Natural_spline_basis>(options_.basis_size),
-                              *kernel_, config, options_.constraints);
+                              *kernel_, config, options_.constraints),
+        options_.stream);
     const Annotated_lock lock(run_mutex_);
     thread_count_ = pool_.thread_count();
 }
 
 Stream_session::Stream_session(std::shared_ptr<const Design_artifacts> artifacts,
                                const Stream_session_options& options)
-    : artifacts_(std::move(artifacts)), options_(options), pool_(options.threads) {
-    if (!artifacts_) throw std::invalid_argument("Stream_session: null artifacts");
+    : options_(options), pool_(options.threads) {
+    if (!artifacts) throw std::invalid_argument("Stream_session: null artifacts");
+    prior_ = make_stream_prior(std::move(artifacts), options_.stream);
     const Annotated_lock lock(run_mutex_);
     thread_count_ = pool_.thread_count();
 }
@@ -35,8 +37,7 @@ Streaming_deconvolver& Stream_session::open_locked(const std::string& label) {
     auto it = streams_.find(label);
     if (it == streams_.end()) {
         it = streams_
-                 .emplace(label, std::make_unique<Streaming_deconvolver>(
-                                     artifacts_, label, options_.stream))
+                 .emplace(label, std::make_unique<Streaming_deconvolver>(prior_, label))
                  .first;
         order_.push_back(label);
     }
@@ -170,7 +171,6 @@ Stream_solve_stats Stream_session::total_stats() const {
     for (const std::string& label : order_) {
         const Stream_solve_stats& s = streams_.at(label)->stats();
         total.updates += s.updates;
-        total.warm_accepts += s.warm_accepts;
         total.cold_solves += s.cold_solves;
     }
     return total;

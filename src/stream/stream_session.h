@@ -3,9 +3,9 @@
 // A monitoring run streams a whole panel: every timepoint delivers one
 // record per gene. Stream_session owns the shared machinery — the kernel
 // resolved through a Kernel_cache (simulation skipped when the protocol
-// was seen before), one immutable Design_artifacts reused by every
-// stream (the same sharing discipline as Batch_engine), and a
-// Worker_pool that fans each timepoint's per-gene updates out in
+// was seen before), one immutable Design_artifacts and one Stream_prior
+// reused by every stream (the same sharing discipline as Batch_engine),
+// and a Worker_pool that fans each timepoint's per-gene updates out in
 // parallel — and a registry of named Streaming_deconvolver instances.
 //
 // Determinism: per-gene updates are independent (each stream owns its
@@ -61,8 +61,9 @@ struct Stream_update {
 class Stream_session {
   public:
     /// Resolve the kernel for `times` through `cache` and build the shared
-    /// design. Throws whatever kernel construction / design construction
-    /// throws (std::invalid_argument on bad config or times).
+    /// design and stream prior. Throws whatever kernel construction,
+    /// design construction or make_stream_prior throws
+    /// (std::invalid_argument on bad config, times or stream options).
     Stream_session(const Cell_cycle_config& config, const Volume_model& volume_model,
                    const Vector& times, Kernel_cache& cache,
                    const Stream_session_options& options = {});
@@ -72,7 +73,7 @@ class Stream_session {
                    const Stream_session_options& options = {});
 
     /// The shared design every stream solves against.
-    const Design_artifacts& artifacts() const { return *artifacts_; }
+    const Design_artifacts& artifacts() const { return *prior_->artifacts; }
     std::shared_ptr<const Kernel_grid> kernel() const { return kernel_; }
     std::size_t thread_count() const { return thread_count_; }
 
@@ -113,7 +114,7 @@ class Stream_session {
     Streaming_deconvolver& open_locked(const std::string& label)
         CELLSYNC_REQUIRES(run_mutex_);
 
-    std::shared_ptr<const Design_artifacts> artifacts_;
+    std::shared_ptr<const Stream_prior> prior_;  // shared by every stream
     std::shared_ptr<const Kernel_grid> kernel_;  // null for adopted artifacts
     Stream_session_options options_;
     // Guards the stream registry and serializes timepoint batches: the

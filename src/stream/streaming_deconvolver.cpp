@@ -4,59 +4,78 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/batch.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
-#include "population/synchrony.h"
 
 namespace cellsync {
 
-Streaming_deconvolver::Streaming_deconvolver(
-    std::shared_ptr<const Design_artifacts> artifacts, std::string label,
-    const Stream_options& options)
-    : artifacts_(std::move(artifacts)), label_(std::move(label)), options_(options) {
-    if (!artifacts_) throw std::invalid_argument("Streaming_deconvolver: null artifacts");
-    if (options_.lambda < 0.0) {
+std::shared_ptr<const Stream_prior> make_stream_prior(
+    std::shared_ptr<const Design_artifacts> artifacts, const Stream_options& options) {
+    if (!artifacts) throw std::invalid_argument("Streaming_deconvolver: null artifacts");
+    if (options.lambda < 0.0) {
         throw std::invalid_argument("Streaming_deconvolver: lambda must be >= 0");
     }
-    if (options_.convergence.stable_updates == 0) {
+    if (options.convergence.stable_updates == 0) {
         throw std::invalid_argument(
             "Streaming_deconvolver: stable_updates must be positive");
     }
-    if (options_.convergence.score_points < 2) {
+    if (options.convergence.score_points < 2) {
         throw std::invalid_argument(
             "Streaming_deconvolver: score_points must be >= 2");
     }
-    const std::size_t n = artifacts_->basis->size();
-    gram_ = Matrix(n, n);
-    ktwg_.assign(n, 0.0);
+    auto prior = std::make_shared<Stream_prior>();
+    prior->artifacts = std::move(artifacts);
+    prior->options = options;
+    const Design_artifacts& design = *prior->artifacts;
 
-    // Seed the reduced state with the measurement-independent part of the
-    // objective: H0 = 2 (lambda Omega + ridge I), g0 = 0.
-    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
+    // Seed of the reduced state: the measurement-independent part of the
+    // objective, H0 = 2 (lambda Omega + ridge I), g0 = 0.
+    const Qp_constraint_prep& prep = *design.constraint_prep;
     const Matrix& z_basis = prep.z_basis();
+    const std::size_t n = design.basis->size();
     const std::size_t nz = z_basis.cols();
     if (nz > 0) {
-        Matrix h0 = 2.0 * (options_.lambda * artifacts_->penalty);
-        for (std::size_t i = 0; i < n; ++i) h0(i, i) += 2.0 * options_.ridge;
-        reduced_hessian_ = Matrix(nz, nz);
+        Matrix h0 = 2.0 * (options.lambda * design.penalty);
+        for (std::size_t i = 0; i < n; ++i) h0(i, i) += 2.0 * options.ridge;
+        prior->reduced_hessian = Matrix(nz, nz);
         const Matrix hz = h0 * z_basis;
         for (std::size_t i = 0; i < nz; ++i) {
             for (std::size_t j = 0; j < nz; ++j) {
                 double s = 0.0;
                 for (std::size_t k = 0; k < n; ++k) s += z_basis(k, i) * hz(k, j);
-                reduced_hessian_(i, j) = s;
+                prior->reduced_hessian(i, j) = s;
             }
         }
-        reduced_gradient_ = transposed_times(z_basis, h0 * prep.x_particular());
+        prior->reduced_gradient = transposed_times(z_basis, h0 * prep.x_particular());
     }
 
     // Circularly-open scoring grid (phi = 1 aliases phi = 0 and must not
     // be double-counted), coarse by default — see Stream_convergence. The
     // design matrix on it turns each append's profile sampling into one
     // small mat-vec instead of per-point basis evaluation.
-    score_phi_ = linspace(0.0, 1.0, options_.convergence.score_points + 1);
-    score_phi_.pop_back();
-    score_design_ = artifacts_->basis->design_matrix_auto(score_phi_);
+    Vector score_phi = linspace(0.0, 1.0, options.convergence.score_points + 1);
+    score_phi.pop_back();
+    prior->score_circle = phase_circle(score_phi);
+    prior->score_design = design.basis->design_matrix_auto(score_phi);
+    return prior;
+}
+
+Streaming_deconvolver::Streaming_deconvolver(
+    std::shared_ptr<const Design_artifacts> artifacts, std::string label,
+    const Stream_options& options)
+    : Streaming_deconvolver(make_stream_prior(std::move(artifacts), options),
+                            std::move(label)) {}
+
+Streaming_deconvolver::Streaming_deconvolver(std::shared_ptr<const Stream_prior> prior,
+                                             std::string label)
+    : prior_(std::move(prior)), label_(std::move(label)) {
+    if (!prior_) throw std::invalid_argument("Streaming_deconvolver: null prior");
+    const std::size_t n = prior_->artifacts->basis->size();
+    gram_ = Matrix(n, n);
+    ktwg_.assign(n, 0.0);
+    reduced_hessian_ = prior_->reduced_hessian;
+    reduced_gradient_ = prior_->reduced_gradient;
 }
 
 const Single_cell_estimate& Streaming_deconvolver::current() const {
@@ -69,8 +88,8 @@ const Single_cell_estimate& Streaming_deconvolver::current() const {
 Measurement_series Streaming_deconvolver::observed_series() const {
     Measurement_series series;
     series.label = label_;
-    series.times.assign(artifacts_->times.begin(),
-                        artifacts_->times.begin() + static_cast<std::ptrdiff_t>(observed_));
+    series.times.assign(artifacts()->times.begin(),
+                        artifacts()->times.begin() + static_cast<std::ptrdiff_t>(observed_));
     series.values = values_;
     series.sigmas = sigmas_;
     return series;
@@ -78,11 +97,20 @@ Measurement_series Streaming_deconvolver::observed_series() const {
 
 const Single_cell_estimate& Streaming_deconvolver::append(double time, double value,
                                                           double sigma) {
+    const bool tracing = telemetry::Trace_recorder::instance().enabled();
+    const telemetry::Trace_span append_span(
+        "stream.append", "stream",
+        tracing ? telemetry::args_join(
+                      telemetry::arg("gene", label_),
+                      telemetry::arg("observed", static_cast<std::int64_t>(observed_ + 1)))
+                : std::string());
+    const telemetry::Latency_timer update_timer;
     if (complete()) {
         throw std::logic_error("Streaming_deconvolver: stream '" + label_ +
                                "' already holds the complete series");
     }
-    const Vector& times = artifacts_->times;
+    const Design_artifacts& design = *prior_->artifacts;
+    const Vector& times = design.times;
     const std::size_t m = observed_;
     if (std::abs(time - times[m]) > 1e-9 * std::max(1.0, std::abs(times[m]))) {
         throw std::invalid_argument(
@@ -112,8 +140,8 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     const Vector ktwg_before = ktwg_;
     const Matrix reduced_hessian_before = reduced_hessian_;
     const Vector reduced_gradient_before = reduced_gradient_;
-    const Vector row = artifacts_->kernel_matrix.row(m);
-    const Row_span span = artifacts_->kernel_design.row_span(m);
+    const Vector row = design.kernel_matrix.row(m);
+    const Row_span span = design.kernel_design.row_span(m);
     const double w = 1.0 / (sigma * sigma);
     for (std::size_t i = span.begin; i < span.end; ++i) {
         const double t = w * row[i];
@@ -129,7 +157,7 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     // delta Hr = 2 w kr kr' and delta gr = 2 w (k'x0 - G_m) kr. The
     // projection kr = Z'k only reads the null-space rows inside the
     // kernel row's span.
-    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
+    const Qp_constraint_prep& prep = *design.constraint_prep;
     const std::size_t nz = prep.z_basis().cols();
     if (nz > 0) {
         const Vector kr = transposed_times_span(prep.z_basis(), row, span);
@@ -146,14 +174,6 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
     weights_.push_back(w);
     ++observed_;
 
-    const bool tracing = telemetry::Trace_recorder::instance().enabled();
-    const telemetry::Trace_span append_span(
-        "stream.append", "stream",
-        tracing ? telemetry::args_join(
-                      telemetry::arg("gene", label_),
-                      telemetry::arg("observed", static_cast<std::int64_t>(observed_)))
-                : std::string());
-    const telemetry::Latency_timer update_timer;
     try {
         solve_and_package();
     } catch (...) {
@@ -173,66 +193,56 @@ const Single_cell_estimate& Streaming_deconvolver::append(double time, double va
 }
 
 void Streaming_deconvolver::solve_and_package() {
-    const std::size_t n = artifacts_->basis->size();
-    const Qp_constraint_prep& prep = *artifacts_->constraint_prep;
+    const Design_artifacts& design = *prior_->artifacts;
+    const Stream_options& options = prior_->options;
+    const std::size_t n = design.basis->size();
+    const Qp_constraint_prep& prep = *design.constraint_prep;
     Qp_result result;
-    bool warm_used = false;
     if (complete()) {
         // The solve that completes the series assembles H = 2 (K'WK +
         // lambda Omega + ridge I), g = -2 K'W G with the same expressions
         // as Deconvolver::estimate_on_rows and runs the identical cold
         // prepared path, so the final estimate's bits depend only on the
-        // accumulated state, never on the warm/cold history before it.
-        Matrix hessian = 2.0 * (gram_ + options_.lambda * artifacts_->penalty);
-        for (std::size_t i = 0; i < n; ++i) hessian(i, i) += 2.0 * options_.ridge;
+        // accumulated state.
+        Matrix hessian = 2.0 * (gram_ + options.lambda * design.penalty);
+        for (std::size_t i = 0; i < n; ++i) hessian(i, i) += 2.0 * options.ridge;
         Vector gradient(n, 0.0);
         for (std::size_t i = 0; i < n; ++i) gradient[i] = -2.0 * ktwg_[i];
-        result = solve_qp_dual_prepared(hessian, gradient, prep, options_.qp);
+        result = solve_qp_dual_prepared(hessian, gradient, prep, options.qp);
     } else if (prep.fully_determined()) {
         // The equalities pin the solution; nothing varies with the data.
         result.x = prep.x_particular();
         result.converged = true;
         result.iterations = 1;
     } else {
-        // Mid-stream: solve directly on the incrementally maintained
-        // reduced problem — bounded active-set repair from the previous
-        // solve's binding rows first, cold Goldfarb-Idnani on the same
-        // reduced blocks as fallback.
-        if (options_.warm_start && !active_set_.empty()) {
-            const std::optional<Qp_result> warm = try_solve_qp_reduced_warm(
-                reduced_hessian_, reduced_gradient_, prep.reduced_inequality(),
-                prep.reduced_ineq_rhs(), active_set_, options_.qp);
-            if (warm.has_value()) {
-                result = *warm;
-                warm_used = true;
-            }
-        }
-        if (!warm_used) {
-            result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
-                                           prep.reduced_inequality(),
-                                           prep.reduced_ineq_rhs(), options_.qp);
-        }
+        // Mid-stream: cold Goldfarb-Idnani directly on the incrementally
+        // maintained reduced problem.
+        result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
+                                       prep.reduced_inequality(), prep.reduced_ineq_rhs(),
+                                       options.qp);
         result.x = prep.z_basis() * result.x + prep.x_particular();
     }
 
-    Single_cell_estimate est(artifacts_->basis, result.x);
-    est.lambda = options_.lambda;
-    est.fitted = artifacts_->kernel_design * est.coefficients();
+    Single_cell_estimate est(design.basis, std::move(result.x));
+    est.lambda = options.lambda;
+    est.fitted = design.kernel_design * est.coefficients();
     double chi2 = 0.0;
     for (std::size_t m = 0; m < observed_; ++m) {
         const double r = values_[m] - est.fitted[m];
         chi2 += weights_[m] * r * r;
     }
     est.chi_squared = chi2;
-    est.roughness = dot(est.coefficients(), artifacts_->penalty * est.coefficients());
-    est.objective = chi2 + options_.lambda * est.roughness;
+    est.roughness = dot(est.coefficients(), design.penalty * est.coefficients());
+    est.objective = chi2 + options.lambda * est.roughness;
     est.qp_iterations = result.iterations;
     est.active_constraints = result.active_set.size();
+    require_finite_estimate(est);
 
     // Convergence bookkeeping against the previous estimate.
     double score = 0.0;
     try {
-        score = profile_order_parameter(score_phi_, score_design_ * est.coefficients());
+        score = circle_order_parameter(prior_->score_circle,
+                                       prior_->score_design * est.coefficients());
     } catch (const std::invalid_argument&) {
         score = 0.0;  // no positive mass: treat as fully unlocalized
     }
@@ -244,7 +254,7 @@ void Streaming_deconvolver::solve_and_package() {
         last_coefficient_delta_ = norm_inf(est.coefficients() - previous_alpha_) / scale;
         last_score_delta_ = std::abs(score - order_parameter_);
     }
-    const Stream_convergence& conv = options_.convergence;
+    const Stream_convergence& conv = options.convergence;
     if (last_coefficient_delta_ <= conv.coefficient_tol &&
         last_score_delta_ <= conv.score_tol) {
         ++stable_count_;
@@ -255,17 +265,13 @@ void Streaming_deconvolver::solve_and_package() {
 
     previous_alpha_ = est.coefficients();
     order_parameter_ = score;
-    active_set_ = result.active_set;
     estimate_ = std::move(est);
     ++stats_.updates;
-    if (warm_used) ++stats_.warm_accepts;
-    else ++stats_.cold_solves;
+    ++stats_.cold_solves;
     static telemetry::Counter& updates = telemetry::counter("stream.updates");
-    static telemetry::Counter& warm_accepts = telemetry::counter("stream.warm_accepts");
     static telemetry::Counter& cold_solves = telemetry::counter("stream.cold_solves");
     updates.add();
-    if (warm_used) warm_accepts.add();
-    else cold_solves.add();
+    cold_solves.add();
 }
 
 }  // namespace cellsync

@@ -3,15 +3,16 @@
 // The batch estimator (core/deconvolver.h) solves one constrained QP per
 // gene from a complete time course. A monitoring workload delivers the
 // same course one timepoint at a time; re-solving from scratch on every
-// arrival rebuilds the weighted normal equations over all observed rows
-// and runs the dual active-set iteration cold. The streaming estimator
-// keeps the gene's normal-equation state — the Gram block
-// sum_m w_m k_m k_m' and the right-hand side sum_m w_m G_m k_m, plus
-// their projections onto the constraint preparation's equality null
+// arrival rebuilds the weighted normal equations over all observed rows.
+// The streaming estimator keeps the gene's normal-equation state — the
+// Gram block sum_m w_m k_m k_m' and the right-hand side sum_m w_m G_m k_m,
+// plus their projections onto the constraint preparation's equality null
 // space — and on each appended measurement performs a rank-one update
-// plus a QP re-solve on the reduced blocks, warm-started from the
-// previous solve's active set (try_solve_qp_reduced_warm; cold
-// Goldfarb-Idnani on the same blocks when the active set moved too far).
+// plus a cold Goldfarb-Idnani re-solve on the reduced blocks. (A warm
+// start from the previous solve's active set was measured and retired: an
+// attempt cost ~35 us against ~7 us for the cold reduced solve.) The
+// measurement-independent part of that state lives in one Stream_prior,
+// built once and shared by every stream of a session.
 //
 // Bit-identity contract: the accumulation order of the incremental state
 // mirrors weighted_gram / transposed_times exactly, and the solve on the
@@ -29,6 +30,7 @@
 
 #include "core/deconvolver.h"
 #include "core/design.h"
+#include "population/synchrony.h"
 
 namespace cellsync {
 
@@ -52,45 +54,74 @@ struct Stream_convergence {
 
 /// Per-stream estimation controls. The smoothness weight is fixed for
 /// the stream's lifetime (cross-validation needs held-out rows of a
-/// complete series; batch-select lambda first, then stream with it —
-/// this is the "previous lambda as the starting point" warm start).
+/// complete series; batch-select lambda first, then stream with it).
 struct Stream_options {
     double lambda = 1e-3;   ///< smoothness weight (paper Eq 5)
     double ridge = 1e-9;    ///< Tikhonov term, matching Deconvolution_options
     Qp_options qp;          ///< active-set solver controls
-    bool warm_start = true; ///< reuse the previous active set between appends
     Stream_convergence convergence;
 };
 
 /// How each append's QP was solved.
 struct Stream_solve_stats {
     std::size_t updates = 0;       ///< appends processed
-    std::size_t warm_accepts = 0;  ///< warm KKT solve verified optimal
-    std::size_t cold_solves = 0;   ///< cold dual iterations (incl. fallbacks)
+    std::size_t warm_accepts = 0;  ///< always 0: the warm-start path is retired
+    std::size_t cold_solves = 0;   ///< cold solves (one per append)
 };
+
+/// What every stream over one (design, options) pair starts from: the
+/// measurement-independent seed of the reduced objective and the
+/// convergence score grid. Immutable once built, so a session builds one
+/// and shares it with all of its streams.
+struct Stream_prior {
+    std::shared_ptr<const Design_artifacts> artifacts;
+    Stream_options options;
+    // H0 = 2 (lambda Omega + ridge I) and g0 = 0 projected onto the
+    // constraint preparation's equality null space (x = x0 + Z y); empty
+    // when the equalities pin x completely.
+    Matrix reduced_hessian;   // Z' H0 Z
+    Vector reduced_gradient;  // Z' H0 x0
+    // Circularly-open scoring grid (see .cpp): its points on the unit
+    // circle, and the basis design on it (packed or banded by occupancy),
+    // so scoring is one mat-vec and no trigonometry.
+    Phase_circle score_circle;
+    Design_matrix score_design;
+};
+
+/// Validate `options` and build the prior every stream over `artifacts`
+/// starts from. Throws std::invalid_argument on null artifacts, negative
+/// lambda, zero stable_updates or fewer than 2 score_points.
+std::shared_ptr<const Stream_prior> make_stream_prior(
+    std::shared_ptr<const Design_artifacts> artifacts, const Stream_options& options);
 
 /// Incremental estimator for one gene against a shared design.
 ///
 /// Appends must follow the design's kernel time grid in order: the m-th
 /// append carries the measurement at artifacts->times[m]. Not thread-safe
-/// per instance; distinct streams are independent (the shared artifacts
-/// are immutable), which is what Stream_session exploits to fan appends
-/// over a worker pool.
+/// per instance; distinct streams are independent (the shared prior and
+/// artifacts are immutable), which is what Stream_session exploits to
+/// fan appends over a worker pool.
 class Streaming_deconvolver {
   public:
-    /// Throws std::invalid_argument on null artifacts or negative lambda.
+    /// Standalone stream: builds its own prior (make_stream_prior, whose
+    /// validation errors it throws).
     Streaming_deconvolver(std::shared_ptr<const Design_artifacts> artifacts,
                           std::string label, const Stream_options& options = {});
 
+    /// Stream over a shared prior. Throws std::invalid_argument on null.
+    Streaming_deconvolver(std::shared_ptr<const Stream_prior> prior, std::string label);
+
     const std::string& label() const { return label_; }
-    const Stream_options& options() const { return options_; }
-    const std::shared_ptr<const Design_artifacts>& artifacts() const { return artifacts_; }
+    const Stream_options& options() const { return prior_->options; }
+    const std::shared_ptr<const Design_artifacts>& artifacts() const {
+        return prior_->artifacts;
+    }
 
     /// Timepoints appended so far.
     std::size_t observed() const { return observed_; }
 
     /// True once every kernel-grid timepoint has been appended.
-    bool complete() const { return observed_ == artifacts_->times.size(); }
+    bool complete() const { return observed_ == prior_->artifacts->times.size(); }
 
     /// Append the measurement at the next kernel-grid time and re-solve.
     /// `time` must match artifacts->times[observed()] (same tolerance as
@@ -98,8 +129,9 @@ class Streaming_deconvolver {
     /// value finite. Returns the updated estimate. Throws
     /// std::invalid_argument on a mismatched time or invalid measurement,
     /// std::logic_error when the stream is already complete, and
-    /// propagates QP failures as std::runtime_error (the stream state is
-    /// rolled back so the append can be retried or abandoned).
+    /// std::runtime_error when the QP fails or the estimate is not finite
+    /// (the stream state is rolled back so the append can be retried or
+    /// abandoned).
     const Single_cell_estimate& append(double time, double value, double sigma = 1.0);
 
     /// Latest estimate; throws std::logic_error before the first append.
@@ -122,9 +154,8 @@ class Streaming_deconvolver {
   private:
     void solve_and_package();
 
-    std::shared_ptr<const Design_artifacts> artifacts_;
+    std::shared_ptr<const Stream_prior> prior_;
     std::string label_;
-    Stream_options options_;
 
     // Incremental normal-equation state over the observed prefix, kept in
     // exactly weighted_gram / transposed_times accumulation order so the
@@ -133,7 +164,8 @@ class Streaming_deconvolver {
     Matrix gram_;   // sum_m w_m k_m k_m'
     Vector ktwg_;   // sum_m k_m (w_m G_m)
     // The same state projected onto the constraint preparation's equality
-    // null space (x = x0 + Z y), also rank-one updated: mid-stream solves
+    // null space (x = x0 + Z y), seeded from the prior and rank-one
+    // updated: mid-stream solves
     // run directly on the reduced problem, skipping the O(n^2 nz)
     // reduction the prepared path performs per solve. Only the final
     // (complete-series) solve re-reduces from gram_ via the cold prepared
@@ -146,7 +178,6 @@ class Streaming_deconvolver {
     Vector weights_;  // 1 / sigma^2, grid order
 
     std::optional<Single_cell_estimate> estimate_;
-    std::vector<std::size_t> active_set_;  // previous solve's binding rows
     Vector previous_alpha_;
     double order_parameter_ = 0.0;
     double last_coefficient_delta_ = 0.0;
@@ -154,9 +185,6 @@ class Streaming_deconvolver {
     std::size_t stable_count_ = 0;
     bool converged_ = false;
     Stream_solve_stats stats_;
-    Vector score_phi_;           // circularly-open scoring grid (see .cpp)
-    Design_matrix score_design_; // basis design on score_phi_ (packed or banded by
-                                 // occupancy): scoring is one mat-vec
 };
 
 }  // namespace cellsync

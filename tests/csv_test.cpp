@@ -12,6 +12,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "numerics/rng.h"
 
@@ -161,6 +164,71 @@ TEST(Csv, FileRoundTrip) {
     const Table back = read_csv_file(path);
     EXPECT_DOUBLE_EQ(back.column("x")[1], 2.0);
     std::remove(path.c_str());
+}
+
+/// The original field splitter, kept as the oracle: std::getline over an
+/// istringstream on ',', each field trimmed of " \t\r", plus one empty
+/// field for a trailing ','.
+std::vector<std::string> getline_split_oracle(const std::string& line) {
+    const auto trim = [](const std::string& f) {
+        const auto begin = f.find_first_not_of(" \t\r");
+        if (begin == std::string::npos) return std::string();
+        const auto end = f.find_last_not_of(" \t\r");
+        return f.substr(begin, end - begin + 1);
+    };
+    std::vector<std::string> fields;
+    std::string field;
+    std::istringstream ss(line);
+    while (std::getline(ss, field, ',')) fields.push_back(trim(field));
+    if (!line.empty() && line.back() == ',') fields.push_back("");
+    return fields;
+}
+
+void expect_split_matches_oracle(const std::string& line) {
+    std::vector<std::string_view> fields = {"stale"};  // must be cleared
+    csv_split_fields(line, fields);
+    const std::vector<std::string> expected = getline_split_oracle(line);
+    ASSERT_EQ(fields.size(), expected.size()) << "line '" << line << "'";
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+        EXPECT_EQ(fields[f], expected[f]) << "line '" << line << "' field " << f;
+    }
+}
+
+TEST(Csv, SplitFieldsMatchesGetlineOracleOnEdgeCases) {
+    for (const char* line : {"", ",", ",,", "a", "a,", ",a", "a,,b", " a ,\tb\r", " ",
+                             "\t,\r", "a , b , ", "#x,y", "1e3,-2, +3 ,"}) {
+        expect_split_matches_oracle(line);
+    }
+    std::vector<std::string_view> fields;
+    csv_split_fields(" a ,\tb\r", fields);
+    ASSERT_EQ(fields.size(), 2u);
+    EXPECT_EQ(fields[0], "a");
+    EXPECT_EQ(fields[1], "b");
+    csv_split_fields("a,", fields);
+    ASSERT_EQ(fields.size(), 2u);
+    EXPECT_EQ(fields[1], "");
+    csv_split_fields("", fields);
+    EXPECT_TRUE(fields.empty());
+}
+
+TEST(Csv, SplitFieldsMatchesGetlineOracleOnRandomLines) {
+    // Lines drawn from the characters that matter to the splitter: the
+    // separator, the three trimmed blanks, other whitespace, and text.
+    const std::string alphabet = ",,, \t\r\n\v#a1.-+e";
+    Rng rng(20110605);
+    for (int trial = 0; trial < 20000; ++trial) {
+        std::string line(rng.index(12), ' ');
+        for (char& c : line) c = alphabet[rng.index(alphabet.size())];
+        expect_split_matches_oracle(line);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(Csv, LineContentTrimsAndSkipsBlankAndCommentLines) {
+    EXPECT_EQ(csv_line_content("  a,b \r"), "a,b");
+    EXPECT_EQ(csv_line_content(" \t\r"), "");
+    EXPECT_EQ(csv_line_content("  # comment"), "");
+    EXPECT_EQ(csv_line_content("a,#b"), "a,#b");
 }
 
 TEST(Csv, WriteFailureIsReportedNotSwallowed) {

@@ -236,74 +236,6 @@ TEST(QpWarmStart, PrimalInitialWorkingSetMatchesColdSolve) {
     EXPECT_THROW(solve_qp(p, {}, cold.x, {5}), std::invalid_argument);
 }
 
-TEST(QpWarmStart, ReducedWarmAcceptsCorrectHintAndMatchesCold) {
-    // min (y0+1)^2 + (y1-2)^2 s.t. y >= 0: optimum (0, 2), row 0 active.
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{2.0, -4.0};
-    const Matrix ineq = Matrix::identity(2);
-    const Vector rhs{0.0, 0.0};
-    const Qp_result cold = solve_qp_dual_reduced(hessian, gradient, ineq, rhs);
-    ASSERT_EQ(cold.active_set, (std::vector<std::size_t>{0}));
-
-    const auto warm = try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0});
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_TRUE(warm->converged);
-    EXPECT_EQ(warm->iterations, 1u);
-    EXPECT_NEAR(warm->x[0], cold.x[0], 1e-8);
-    EXPECT_NEAR(warm->x[1], cold.x[1], 1e-8);
-    EXPECT_EQ(warm->active_set, cold.active_set);
-}
-
-TEST(QpWarmStart, ReducedWarmRepairsSmallActiveSetDrift) {
-    // Hinting the wrong row: the bounded repair drops it, picks up the
-    // right one, and still reports the true optimum.
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{2.0, -4.0};
-    const Matrix ineq = Matrix::identity(2);
-    const Vector rhs{0.0, 0.0};
-    const auto warm = try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {1});
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_NEAR(warm->x[0], 0.0, 1e-8);
-    EXPECT_NEAR(warm->x[1], 2.0, 1e-8);
-    EXPECT_EQ(warm->active_set, (std::vector<std::size_t>{0}));
-}
-
-TEST(QpWarmStart, ReducedWarmRejectsUnusableHints) {
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{2.0, -4.0};
-    const Matrix ineq = Matrix::identity(2);
-    const Vector rhs{0.0, 0.0};
-    // Empty hint is a cold solve's job.
-    EXPECT_FALSE(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {}).has_value());
-    // Out-of-range hints are caller bugs.
-    EXPECT_THROW(try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {7}),
-                 std::invalid_argument);
-    // More hinted rows than dimensions cannot be an independent set.
-    EXPECT_FALSE(
-        try_solve_qp_reduced_warm(hessian, gradient, ineq, rhs, {0, 1, 0}).has_value());
-}
-
-TEST(QpWarmStart, PreparedWarmMatchesPreparedColdThroughEqualities) {
-    // Full-space problem with an equality: warm through the shared prep
-    // must agree with the cold prepared path.
-    const Matrix hessian{{2.0, 0.0}, {0.0, 2.0}};
-    const Vector gradient{0.0, 0.0};
-    const Matrix eq{{1.0, 1.0}};
-    const Vector eq_rhs{1.0};
-    const Matrix ineq{{1.0, 0.0}};
-    const Vector ineq_rhs{0.7};  // x0 >= 0.7 binds: optimum (0.7, 0.3)
-    const Qp_constraint_prep prep(2, eq, eq_rhs, ineq, ineq_rhs);
-    const Qp_result cold = solve_qp_dual_prepared(hessian, gradient, prep);
-    ASSERT_EQ(cold.active_set.size(), 1u);
-
-    const auto warm =
-        try_solve_qp_prepared_warm(hessian, gradient, prep, cold.active_set);
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_NEAR(warm->x[0], cold.x[0], 1e-8);
-    EXPECT_NEAR(warm->x[1], cold.x[1], 1e-8);
-    EXPECT_NEAR(warm->x[0], 0.7, 1e-6);
-}
-
 // Property suite: random strictly convex problems with random box
 // constraints must satisfy the KKT conditions at the reported optimum.
 class QpRandomProblems : public ::testing::TestWithParam<std::uint64_t> {};

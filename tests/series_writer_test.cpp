@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "io/csv.h"
@@ -22,6 +24,15 @@ TEST(SeriesWriter, RejectsLengthMismatchAndDuplicates) {
     EXPECT_THROW(w.add("x", {1.0}), std::invalid_argument);
     w.add("x", {1.0, 2.0});
     EXPECT_THROW(w.add("x", {3.0, 4.0}), std::invalid_argument);
+}
+
+TEST(SeriesWriter, RefusesNonFiniteValues) {
+    Series_writer w("phi", {0.0, 0.5});
+    EXPECT_THROW(w.add("nan", {1.0, std::nan("")}), std::invalid_argument);
+    EXPECT_THROW(w.add("inf", {-std::numeric_limits<double>::infinity(), 1.0}),
+                 std::invalid_argument);
+    EXPECT_EQ(w.table().column_count(), 1u);  // nothing half-added
+    w.add("nan", {1.0, 2.0});                 // the name is still free
 }
 
 TEST(SeriesWriter, CsvStringIsParseable) {

@@ -60,13 +60,11 @@ Deconvolution_options batch_options() {
     return options;
 }
 
-void expect_final_bit_identity(const Measurement_series& series, bool warm_start) {
+void expect_final_bit_identity(const Measurement_series& series) {
     const Deconvolver deconvolver(fixture().artifacts);
     const Single_cell_estimate batch = deconvolver.estimate(series, batch_options());
 
-    Stream_options options = stream_options();
-    options.warm_start = warm_start;
-    Streaming_deconvolver stream(fixture().artifacts, series.label, options);
+    Streaming_deconvolver stream(fixture().artifacts, series.label, stream_options());
     for (std::size_t m = 0; m < series.size(); ++m) {
         stream.append(series.times[m], series.values[m], series.sigmas[m]);
     }
@@ -76,8 +74,7 @@ void expect_final_bit_identity(const Measurement_series& series, bool warm_start
     const Vector& b = stream.current().coefficients();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << "coefficient " << i << " (warm_start=" << warm_start
-                              << ", gene " << series.label << ")";
+        EXPECT_EQ(a[i], b[i]) << "coefficient " << i << " (gene " << series.label << ")";
     }
     EXPECT_EQ(batch.chi_squared, stream.current().chi_squared);
     EXPECT_EQ(batch.roughness, stream.current().roughness);
@@ -87,14 +84,9 @@ void expect_final_bit_identity(const Measurement_series& series, bool warm_start
 TEST(StreamingDeconvolver, FinalEstimateBitIdenticalToBatch) {
     // Constraint-binding profiles (positivity active) and a smooth one
     // (unconstrained optimum) — the identity must hold either way.
-    expect_final_bit_identity(noisy_series(ftsz_like_profile(), 5, "ftsZ"), true);
-    expect_final_bit_identity(noisy_series(pulse_profile(0.0, 6.0, 0.7, 0.15), 6, "pulse"),
-                              true);
-    expect_final_bit_identity(noisy_series(sinusoid_profile(3.0, 2.0), 7, "wave"), true);
-}
-
-TEST(StreamingDeconvolver, BitIdentityHoldsWithWarmStartDisabled) {
-    expect_final_bit_identity(noisy_series(ftsz_like_profile(), 5, "ftsZ"), false);
+    expect_final_bit_identity(noisy_series(ftsz_like_profile(), 5, "ftsZ"));
+    expect_final_bit_identity(noisy_series(pulse_profile(0.0, 6.0, 0.7, 0.15), 6, "pulse"));
+    expect_final_bit_identity(noisy_series(sinusoid_profile(3.0, 2.0), 7, "wave"));
 }
 
 TEST(StreamingDeconvolver, FailedAppendRollsBackAndStreamRecovers) {
@@ -156,7 +148,8 @@ TEST(StreamingDeconvolver, TracksObservedSeriesAndStats) {
     }
     const Stream_solve_stats& stats = stream.stats();
     EXPECT_EQ(stats.updates, 5u);
-    EXPECT_EQ(stats.warm_accepts + stats.cold_solves, stats.updates);
+    EXPECT_EQ(stats.cold_solves, stats.updates);
+    EXPECT_EQ(stats.warm_accepts, 0u);
     // Every mid-stream estimate is usable: finite profile, fit diagnostics.
     EXPECT_TRUE(std::isfinite(stream.current().chi_squared));
     EXPECT_TRUE(all_finite(stream.current().coefficients()));
@@ -182,6 +175,38 @@ TEST(StreamingDeconvolver, ConvergenceDetectsStabilizedEstimate) {
     EXPECT_LE(stream.last_coefficient_delta(), 5e-2);
 }
 
+TEST(StreamingDeconvolver, OverflowingEstimateFailsTheAppendAndRollsBack) {
+    // +-1e308 is a finite, accepted measurement, but the solve overflows:
+    // the append must throw instead of publishing a NaN estimate, and
+    // leave the stream where it was.
+    const Measurement_series series = noisy_series(ftsz_like_profile(), 9, "ftsZ");
+    Streaming_deconvolver stream(fixture().artifacts, "huge", stream_options());
+    stream.append(series.times[0], series.values[0], series.sigmas[0]);
+    const Vector before = stream.current().coefficients();
+    try {
+        stream.append(series.times[1], -1e308, 1.0);
+        FAIL() << "an overflowing estimate was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(stream.observed(), 1u);
+    EXPECT_EQ(stream.stats().updates, 1u);
+    const Vector& after = stream.current().coefficients();
+    ASSERT_EQ(before.size(), after.size());
+    for (std::size_t i = 0; i < before.size(); ++i) EXPECT_EQ(before[i], after[i]);
+
+    // The rolled-back stream continues bit-identically to one that never
+    // saw the overflowing value.
+    Streaming_deconvolver clean(fixture().artifacts, "clean", stream_options());
+    for (std::size_t m = 0; m < series.size(); ++m) {
+        if (m > 0) stream.append(series.times[m], series.values[m], series.sigmas[m]);
+        clean.append(series.times[m], series.values[m], series.sigmas[m]);
+    }
+    const Vector& a = stream.current().coefficients();
+    const Vector& b = clean.current().coefficients();
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "coefficient " << i;
+}
+
 TEST(StreamingDeconvolver, ConstructionValidation) {
     EXPECT_THROW(Streaming_deconvolver(nullptr, "x", stream_options()),
                  std::invalid_argument);
@@ -196,6 +221,11 @@ TEST(StreamingDeconvolver, ConstructionValidation) {
     Stream_options bad_score = stream_options();
     bad_score.convergence.score_points = 1;
     EXPECT_THROW(Streaming_deconvolver(fixture().artifacts, "x", bad_score),
+                 std::invalid_argument);
+    // The shared-prior path validates the same options the same way.
+    EXPECT_THROW(make_stream_prior(fixture().artifacts, bad_lambda), std::invalid_argument);
+    EXPECT_THROW(make_stream_prior(nullptr, stream_options()), std::invalid_argument);
+    EXPECT_THROW(Streaming_deconvolver(std::shared_ptr<const Stream_prior>(), "x"),
                  std::invalid_argument);
 }
 

@@ -93,5 +93,21 @@ TEST(Synchrony, ProfileMetricValidationErrors) {
     EXPECT_THROW(profile_order_parameter({0.1, 0.5}, {0.0, -1.0}), std::invalid_argument);
 }
 
+TEST(Synchrony, PrecomputedCircleGivesTheSameBits) {
+    Rng rng(3);
+    for (const std::size_t points : {2u, 64u, 201u}) {
+        const Vector phi = linspace(0.0, 1.0, points);
+        const Phase_circle circle = phase_circle(phi);
+        for (int trial = 0; trial < 20; ++trial) {
+            Vector values(points);
+            for (double& v : values) v = rng.uniform(0.05, 2.0);
+            EXPECT_EQ(circle_order_parameter(circle, values),
+                      profile_order_parameter(phi, values));
+        }
+    }
+    EXPECT_THROW(circle_order_parameter(phase_circle({0.1, 0.2}), {1.0}),
+                 std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace cellsync

@@ -21,7 +21,7 @@
 //            (long-form CSV: time,gene,value[,sigma], rows time-ordered).
 //            Each timepoint's records update every gene's estimate
 //            in-place through the streaming engine (rank-one
-//            normal-equation update + warm-started QP re-solve); once a
+//            normal-equation update + cold reduced QP re-solve); once a
 //            gene's estimate stabilizes it is reported converged, and
 //            --stop-when-converged ends the run as soon as every gene
 //            has. Requires the full time grid up front (--times or
@@ -89,8 +89,7 @@
 //   --mu-sst X --cycle-minutes X    organism model defaults
 //   --linear-volume     use the 2009 linear volume model
 //   --no-positivity / --no-conservation / --no-rate-continuity
-//   --no-warm-start     run: full lambda grid for every condition;
-//                       stream: cold QP re-solve on every timepoint
+//   --no-warm-start     run: full lambda grid for every condition
 //   --bootstrap N       confidence band (single-series run only)
 //   --threads N         worker threads              (default: hardware)
 //   --times LO:HI:N | --times-from data.csv   time grid (kernel, stream)
@@ -112,6 +111,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -750,7 +750,11 @@ int cmd_stream(const Cli_options& cli) {
     }
     if (cli.backend != Qp_backend::automatic) {
         usage_error("--qp-backend does not apply to stream (the streaming engine always "
-                    "solves through the prepared dual / warm-start path)");
+                    "solves through the Goldfarb-Idnani dual path)");
+    }
+    if (!cli.warm_start) {
+        usage_error("--no-warm-start applies to run only (its lambda grid warm start); "
+                    "stream re-solves every timepoint cold");
     }
     const Telemetry_session telemetry_session(cli);
     const Vector times = resolve_times(cli);
@@ -761,7 +765,6 @@ int cmd_stream(const Cli_options& cli) {
     session_options.constraints = constraints_from(cli);
     session_options.kernel = kernel_options_from(cli);
     session_options.stream.lambda = cli.lambda.value_or(1e-3);
-    session_options.stream.warm_start = cli.warm_start;
     session_options.stream.convergence = cli.convergence;
 
     const std::unique_ptr<Volume_model> volume = volume_from(cli);
@@ -786,17 +789,19 @@ int cmd_stream(const Cli_options& cli) {
     }
     Record_stream records(in);
 
-    int failures = 0;
+    // A gene whose append failed is stuck at its last good timepoint (the
+    // stream expects the failed time again), so it gets no profile column.
+    std::set<std::string> failed_genes;
     bool stopped_early = false;
     std::size_t timepoints = 0;
     for (;;) {
-        const std::vector<Expression_record> batch = records.next_timepoint();
+        std::vector<Expression_record> batch = records.next_timepoint();
         if (batch.empty()) break;
         const double t = batch.front().time;
         std::vector<Stream_record> updates_in;
         updates_in.reserve(batch.size());
-        for (const Expression_record& record : batch) {
-            updates_in.push_back({record.gene, record.value, record.sigma});
+        for (Expression_record& record : batch) {
+            updates_in.push_back({std::move(record.gene), record.value, record.sigma});
         }
         const std::vector<Stream_update> updates = session.append_timepoint(t, updates_in);
         ++timepoints;
@@ -805,7 +810,7 @@ int cmd_stream(const Cli_options& cli) {
         std::size_t converged = 0;
         for (const Stream_update& update : updates) {
             if (!update.error.empty()) {
-                ++failures;
+                failed_genes.insert(update.label);
                 std::printf("  t=%-6.0f %s\n", t, update.error.c_str());
                 continue;
             }
@@ -847,6 +852,7 @@ int cmd_stream(const Cli_options& cli) {
         std::printf("  %-16s %zu/%-7zu %-10s %-8.3f %-10.3e\n", label.c_str(),
                     stream.observed(), times.size(), stream.converged() ? "yes" : "no",
                     stream.order_parameter(), stream.options().lambda);
+        if (failed_genes.count(label) != 0) continue;
         const Single_cell_estimate& estimate = stream.current();
         if (!grid_design) grid_design = estimate.basis().design_matrix_auto(grid);
         writer.add(label, *grid_design * estimate.coefficients());
@@ -857,7 +863,7 @@ int cmd_stream(const Cli_options& cli) {
         write_profiles_with_lambdas(output, writer.table(), lambdas);
         std::printf("wrote %s\n", output.c_str());
     }
-    return failures == 0 ? 0 : 1;
+    return failed_genes.empty() ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Figure 3: the Figure-2 experiment with additive Gaussian noise of
 // standard deviation equal to 10% of the data magnitude — one seeded
 // realization (the paper shows one), plus an aggregate over realizations
-// so the reproduction is not a single lucky draw.
+// so the reproduction is not a single lucky draw. Exits 1 when either
+// component misses its criterion, so ctest runs it as an accuracy gate.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -21,6 +22,7 @@ int main() {
     const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(defaults.basis_size),
                                   kernel, defaults.cell_cycle);
     const Noise_model noise{Noise_type::relative_gaussian, 0.10};
+    bool pass = true;
 
     for (std::size_t component = 0; component < 2; ++component) {
         const Gene_profile truth = lotka_volterra_profile(lv, component, period);
@@ -60,8 +62,9 @@ int main() {
                     median(correlations), *std::min_element(correlations.begin(),
                                                             correlations.end()),
                     median(errors), *std::max_element(errors.begin(), errors.end()));
-        std::printf("  criterion median corr>0.90 : %s\n\n",
-                    median(correlations) > 0.90 ? "PASS" : "FAIL");
+        const bool component_pass = median(correlations) > 0.90;
+        std::printf("  criterion median corr>0.90 : %s\n\n", component_pass ? "PASS" : "FAIL");
+        pass = pass && component_pass;
     }
-    return 0;
+    return pass ? 0 : 1;
 }

@@ -48,14 +48,18 @@ struct Cell_parameters {
     double cycle_minutes = 150.0; ///< this cell's total cycle time T_k
 };
 
-/// Draw per-cell parameters from the population distributions. Draws are
-/// truncated to biologically sane windows (phi_sst in (0.01, 0.95),
-/// T in (0.2, 3) x mean) to exclude impossible cells from the simulation.
-Cell_parameters draw_cell_parameters(const Cell_cycle_config& config, Rng& rng);
+/// Draw per-cell parameters from the population distributions, using the
+/// cell's own stream. Draws are truncated to biologically sane windows
+/// (phi_sst in [0.01, 0.95], T in [0.2, 3] x mean) to exclude impossible
+/// cells from the simulation. One polar normal pair gives both values; a
+/// pair is redrawn until both land in their windows, which keeps them
+/// independent truncated normals (the window is a product set). The
+/// config is not re-validated here: callers validate it once.
+Cell_parameters draw_cell_parameters(const Cell_cycle_config& config, Counter_stream& stream);
 
 /// Draw an initial phase for a cell according to the configured mode.
 double draw_initial_phase(const Cell_cycle_config& config, const Cell_parameters& params,
-                          Rng& rng);
+                          Counter_stream& stream);
 
 /// Phase of a (non-dividing) cell at time t given its phase at time 0:
 /// phi(t) = phi0 + t / T. The caller handles division when the result

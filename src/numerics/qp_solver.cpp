@@ -8,6 +8,7 @@
 #include "core/telemetry.h"
 #include "core/trace.h"
 #include "numerics/linear_solve.h"
+#include "numerics/simd_dispatch.h"
 
 namespace cellsync {
 
@@ -393,14 +394,20 @@ Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
         return hinv_rows[r];
     };
 
+    // C_r y for every row in one dispatched mat-vec per scan; each row
+    // sums in dot()'s serial order, so the scan is bit-identical to a
+    // per-row dot. The buffer is reused across the outer iterations.
+    const simd::Kernel_table& kt = simd::kernels();
+    Vector row_values(mi);
     bool scanned_feasible = false;  // the last scan found no violated inactive row
     for (std::size_t outer = 0; outer < max_outer; ++outer) {
         // Most violated inactive constraint.
         double worst = -options.constraint_tol;
         std::size_t j = mi;
+        if (mi > 0) kt.matvec(cr.data().data(), mi, nz, y.data(), row_values.data());
         for (std::size_t r = 0; r < mi; ++r) {
             if (is_active[r]) continue;
-            const double slack = dot_row(cr, r, y) - dr[r];
+            const double slack = row_values[r] - dr[r];
             if (slack < worst) {
                 worst = slack;
                 j = r;

@@ -50,13 +50,4 @@ Vector Rng::normal_vector(std::size_t n) {
     return v;
 }
 
-std::uint64_t mix_seed(std::uint64_t base, std::uint64_t stream) {
-    // splitmix64 finalizer over the combined words; cheap, and distinct
-    // (base, stream) pairs land in well-separated states.
-    std::uint64_t z = base + 0x9e3779b97f4a7c15ULL * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 }  // namespace cellsync

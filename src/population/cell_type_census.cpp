@@ -27,13 +27,12 @@ Census_series simulate_census(const Cell_cycle_config& config,
     series.fractions = Matrix(times.size(), cell_type_count);
 
     for (std::size_t m = 0; m < times.size(); ++m) {
-        sim.advance_to(times[m]);
         std::array<std::size_t, cell_type_count> counts{};
-        for (const Simulated_cell& cell : sim.cells()) {
+        sim.advance_to(times[m], [&](const Simulated_cell& cell) {
             const Cell_type type =
-                classify_cell(cell.phase_at(sim.time()), cell.params.phi_sst, thresholds);
+                classify_cell(cell.phase_at(times[m]), cell.params.phi_sst, thresholds);
             ++counts[static_cast<std::size_t>(type)];
-        }
+        });
         const double total = static_cast<double>(sim.size());
         for (std::size_t k = 0; k < cell_type_count; ++k) {
             series.fractions(m, k) = static_cast<double>(counts[k]) / total;

@@ -114,19 +114,18 @@ Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& vo
     Matrix q(times.size(), options.n_bins);
     Vector centers;
     for (std::size_t m = 0; m < times.size(); ++m) {
-        sim.advance_to(times[m]);
-        const Phase_density d = phase_volume_density(sim.snapshot(volume_model), options.n_bins);
+        // Volume-weighted histogram of the live cells, filled during the
+        // division scan: the same numbers
+        // phase_volume_density(sim.snapshot(volume_model)) gives after
+        // advance_to, without materializing the snapshot.
+        Phase_histogram histogram(options.n_bins);
+        sim.advance_to(times[m], [&](const Simulated_cell& cell) {
+            const double phi = cell.phase_at(times[m]);
+            histogram.add(phi, volume_model.relative_volume(phi, cell.params.phi_sst));
+        });
+        Phase_density d = histogram.density();
         q.set_row(m, d.density);
-        if (m == 0) {
-            centers = d.bin_centers;
-        } else if (d.bin_centers.size() != centers.size() ||
-                   !std::equal(centers.begin(), centers.end(), d.bin_centers.begin())) {
-            // The density estimator derives centers from n_bins alone, so
-            // every snapshot must agree; a divergence means the grid
-            // contract was broken upstream, not bad user input.
-            throw std::logic_error("build_kernel: snapshot bin centers diverged at t=" +
-                                   std::to_string(times[m]));
-        }
+        if (m == 0) centers = std::move(d.bin_centers);
     }
     return Kernel_grid(times, centers, std::move(q));
 }

@@ -178,7 +178,7 @@ Kernel_cache::Kernel_cache(std::string directory, Kernel_cache_limits limits)
 std::string Kernel_cache::cache_key(const Cell_cycle_config& config,
                                     const Volume_model& volume_model, const Vector& times,
                                     const Kernel_build_options& options) {
-    std::string key = "cellsync-kernel-v1;";
+    std::string key = "cellsync-kernel-v2;";
     append_double(key, "mu_sst", config.mu_sst);
     append_double(key, "cv_sst", config.cv_sst);
     append_double(key, "mean_cycle_minutes", config.mean_cycle_minutes);

@@ -198,7 +198,11 @@ class Kernel_cache {
 
     /// Canonical key string: every input the simulation output depends on,
     /// doubles printed round-trip exactly. Equal keys <=> bit-identical
-    /// kernels (the simulator is seeded and deterministic).
+    /// kernels (the simulator is seeded and deterministic). The
+    /// `cellsync-kernel-v2` prefix names the simulator's realization
+    /// (per-cell counter streams); entries written under an older prefix
+    /// never match, so a cache never serves a kernel from another
+    /// realization.
     static std::string cache_key(const Cell_cycle_config& config,
                                  const Volume_model& volume_model, const Vector& times,
                                  const Kernel_build_options& options);

@@ -1,6 +1,5 @@
 #include "population/phase_distribution.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -41,33 +40,35 @@ double Phase_density::resultant_length() const {
     return std::sqrt(re * re + im * im);
 }
 
-namespace {
-
-Phase_density weighted_density(const std::vector<Snapshot_entry>& snapshot, std::size_t bins,
-                               bool volume_weighted) {
+Phase_histogram::Phase_histogram(std::size_t bins) : weights_(bins, 0.0) {
     if (bins == 0) throw std::invalid_argument("phase density: bins must be positive");
-    if (snapshot.empty()) throw std::invalid_argument("phase density: empty snapshot");
+    scale_ = static_cast<double>(bins);
+}
 
+Phase_density Phase_histogram::density() const {
+    if (total_ <= 0.0) throw std::invalid_argument("phase density: non-positive total weight");
+    const std::size_t bins = weights_.size();
     Phase_density d;
     d.bin_width = 1.0 / static_cast<double>(bins);
     d.bin_centers.resize(bins);
     for (std::size_t b = 0; b < bins; ++b) {
         d.bin_centers[b] = (static_cast<double>(b) + 0.5) * d.bin_width;
     }
-    d.density.assign(bins, 0.0);
-
-    double total = 0.0;
-    for (const Snapshot_entry& e : snapshot) {
-        const double w = volume_weighted ? e.relative_volume : 1.0;
-        const double phi = std::clamp(e.phi, 0.0, 1.0);
-        auto b = static_cast<std::size_t>(phi * static_cast<double>(bins));
-        if (b >= bins) b = bins - 1;  // phi exactly 1 lands in the last bin
-        d.density[b] += w;
-        total += w;
-    }
-    if (total <= 0.0) throw std::invalid_argument("phase density: non-positive total weight");
-    for (double& v : d.density) v /= total * d.bin_width;
+    d.density = weights_;
+    for (double& v : d.density) v /= total_ * d.bin_width;
     return d;
+}
+
+namespace {
+
+Phase_density weighted_density(const std::vector<Snapshot_entry>& snapshot, std::size_t bins,
+                               bool volume_weighted) {
+    Phase_histogram histogram(bins);
+    if (snapshot.empty()) throw std::invalid_argument("phase density: empty snapshot");
+    for (const Snapshot_entry& e : snapshot) {
+        histogram.add(e.phi, volume_weighted ? e.relative_volume : 1.0);
+    }
+    return histogram.density();
 }
 
 }  // namespace

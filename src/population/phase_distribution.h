@@ -5,6 +5,7 @@
 // Eq 3), normalized to integrate to one over phi in [0, 1].
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "numerics/vector_ops.h"
@@ -38,6 +39,35 @@ struct Phase_density {
   private:
     /// Shared resultant-vector accumulation.
     void resultant(double& re, double& im) const;
+};
+
+/// Streaming weighted phase histogram: the one binning and normalization
+/// rule behind phase_number_density, phase_volume_density and the kernel
+/// builder, which feeds live cells straight in instead of materializing a
+/// snapshot. Phases are clamped to [0, 1]; phi exactly 1 lands in the
+/// last bin.
+class Phase_histogram {
+  public:
+    /// Throws std::invalid_argument for zero bins.
+    explicit Phase_histogram(std::size_t bins);
+
+    /// Add one cell at phase `phi` with weight `weight`.
+    void add(double phi, double weight) {
+        const double clamped = std::clamp(phi, 0.0, 1.0);
+        auto b = static_cast<std::size_t>(clamped * scale_);
+        if (b >= weights_.size()) b = weights_.size() - 1;
+        weights_[b] += weight;
+        total_ += weight;
+    }
+
+    /// The normalized density of everything added so far. Throws
+    /// std::invalid_argument for a non-positive total weight.
+    Phase_density density() const;
+
+  private:
+    Vector weights_;
+    double scale_ = 0.0;  ///< bins as a double
+    double total_ = 0.0;
 };
 
 /// Number-weighted phase density. Throws std::invalid_argument for zero

@@ -6,7 +6,7 @@ namespace cellsync {
 
 Population_simulator::Population_simulator(const Cell_cycle_config& config,
                                            std::size_t initial_cells, std::uint64_t seed)
-    : config_(config), rng_(seed) {
+    : config_(config) {
     config_.validate();
     if (initial_cells == 0) {
         throw std::invalid_argument("Population_simulator: need at least one initial cell");
@@ -14,47 +14,37 @@ Population_simulator::Population_simulator(const Cell_cycle_config& config,
     cells_.reserve(initial_cells * 2);
     for (std::size_t i = 0; i < initial_cells; ++i) {
         Simulated_cell cell;
-        cell.params = draw_cell_parameters(config_, rng_);
+        cell.key = mix_seed(seed, i);
+        Counter_stream stream(cell.key);
+        cell.params = draw_cell_parameters(config_, stream);
         cell.birth_time = 0.0;
-        cell.birth_phase = draw_initial_phase(config_, cell.params, rng_);
+        cell.birth_phase = draw_initial_phase(config_, cell.params, stream);
         cells_.push_back(cell);
     }
 }
 
-void Population_simulator::advance_to(double t_minutes) {
+Simulated_cell Population_simulator::born(std::uint64_t key, double birth_time,
+                                          bool stalked) const {
+    Simulated_cell cell;
+    cell.key = key;
+    Counter_stream stream(key);
+    cell.params = draw_cell_parameters(config_, stream);
+    cell.birth_time = birth_time;
+    cell.birth_phase = stalked ? cell.params.phi_sst : 0.0;
+    return cell;
+}
+
+void Population_simulator::set_time(double t_minutes) {
     if (t_minutes < time_) {
         throw std::invalid_argument("Population_simulator::advance_to: time must not decrease");
     }
-    // Split every cell whose division time falls inside (time_, t]; daughters
-    // may themselves divide again before t, so loop until stable. Divisions
-    // are processed cell-by-cell; the RNG draws happen in deterministic
-    // order because new daughters are appended and scanned in order.
-    std::size_t scan = 0;
-    while (scan < cells_.size()) {
-        Simulated_cell& cell = cells_[scan];
-        const double t_div = cell.division_time();
-        if (t_div > t_minutes) {
-            ++scan;
-            continue;
-        }
-        // SW daughter replaces the mother in place; ST daughter is appended.
-        Simulated_cell sw;
-        sw.params = draw_cell_parameters(config_, rng_);
-        sw.birth_time = t_div;
-        sw.birth_phase = 0.0;
-
-        Simulated_cell st;
-        st.params = draw_cell_parameters(config_, rng_);
-        st.birth_time = t_div;
-        st.birth_phase = st.params.phi_sst;
-
-        cells_[scan] = sw;
-        cells_.push_back(st);
-        // Do not advance `scan`: the SW daughter could in principle divide
-        // again before t (only with extreme parameter draws, but correctness
-        // should not depend on that).
-    }
     time_ = t_minutes;
+}
+
+void Population_simulator::divide(std::size_t index, double t_div) {
+    const std::uint64_t key = cells_[index].key;
+    cells_.push_back(born(Counter_stream::child_key(key, 1), t_div, true));
+    cells_[index] = born(Counter_stream::child_key(key, 0), t_div, false);
 }
 
 std::vector<Snapshot_entry> Population_simulator::snapshot(

@@ -4,8 +4,16 @@
 // Each cell advances through phase at rate 1/T_k; when it reaches phi = 1
 // it is replaced by an SW daughter (phi = 0) and an ST daughter (phi =
 // its freshly drawn phi_sst). Snapshots of (phi, phi_sst, volume) feed the
-// phase-distribution estimators and the kernel builder. Given a seed, runs
-// are bit-for-bit reproducible.
+// phase-distribution estimators; the kernel builder histograms cells()
+// directly.
+//
+// Every cell draws from its own Counter_stream. Founder i is keyed
+// mix_seed(seed, i); a mother keyed K has daughters keyed
+// Counter_stream::child_key(K, 0) (SW) and child_key(K, 1) (ST). A cell's
+// parameters are therefore a pure function of the seed and its lineage:
+// they do not depend on the order divisions are processed in or on the
+// advance_to() schedule, and given a seed runs are bit-for-bit
+// reproducible.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +30,7 @@ struct Simulated_cell {
     double birth_time = 0.0;   ///< experiment time the cell appeared (minutes)
     double birth_phase = 0.0;  ///< phase at birth (0 for SW, phi_sst for ST daughters)
     Cell_parameters params;    ///< this cell's theta_k = {phi_sst, T}
+    std::uint64_t key = 0;     ///< this cell's random-stream key
 
     /// Phase at time t (caller must not exceed division_time()).
     double phase_at(double t) const {
@@ -53,7 +62,32 @@ class Population_simulator {
     /// Advance the simulation clock (monotonically) to `t_minutes`,
     /// performing all divisions along the way. Throws std::invalid_argument
     /// if asked to move backwards.
-    void advance_to(double t_minutes);
+    void advance_to(double t_minutes) {
+        advance_to(t_minutes, [](const Simulated_cell&) {});
+    }
+
+    /// advance_to(t_minutes), calling visit(cell) on every live cell, in
+    /// cells() order, as the division scan passes it: one walk over the
+    /// population instead of advance_to plus a loop over cells(). time()
+    /// already reads t_minutes inside `visit`.
+    template <class Visit>
+    void advance_to(double t_minutes, Visit&& visit) {
+        set_time(t_minutes);
+        // Daughters may divide again before t, so a divided slot is
+        // rescanned; a cell is visited once it is final. Each daughter
+        // draws from her own stream, so the scan order affects only where
+        // cells sit in cells_, never what they drew.
+        std::size_t scan = 0;
+        while (scan < cells_.size()) {
+            const double t_div = cells_[scan].division_time();
+            if (t_div > t_minutes) {
+                visit(cells_[scan]);
+                ++scan;
+            } else {
+                divide(scan, t_div);
+            }
+        }
+    }
 
     /// Current simulation time in minutes.
     double time() const { return time_; }
@@ -73,8 +107,19 @@ class Population_simulator {
     double total_relative_volume(const Volume_model& volume_model) const;
 
   private:
+    /// A cell born at `birth_time` whose parameters come from stream
+    /// `key`; an ST daughter starts at its own phi_sst.
+    Simulated_cell born(std::uint64_t key, double birth_time, bool stalked) const;
+
+    /// Move the clock to t_minutes; throws std::invalid_argument if that
+    /// is backwards.
+    void set_time(double t_minutes);
+
+    /// Divide cells_[index] at t_div: the SW daughter replaces it in
+    /// place, the ST daughter is appended.
+    void divide(std::size_t index, double t_div);
+
     Cell_cycle_config config_;
-    Rng rng_;
     double time_ = 0.0;
     std::vector<Simulated_cell> cells_;
 };

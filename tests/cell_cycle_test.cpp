@@ -38,10 +38,10 @@ TEST(CellCycleConfig, ValidationCatchesBadFields) {
 
 TEST(DrawCellParameters, DistributionMomentsMatchConfig) {
     const Cell_cycle_config config;
-    Rng rng(101);
+    Counter_stream stream(101);
     Vector phi_sst(20000), cycles(20000);
     for (std::size_t i = 0; i < phi_sst.size(); ++i) {
-        const Cell_parameters p = draw_cell_parameters(config, rng);
+        const Cell_parameters p = draw_cell_parameters(config, stream);
         phi_sst[i] = p.phi_sst;
         cycles[i] = p.cycle_minutes;
     }
@@ -55,9 +55,9 @@ TEST(DrawCellParameters, DrawsAreTruncatedToSaneWindows) {
     Cell_cycle_config config;
     config.cv_sst = 0.9;  // extreme spread to exercise truncation
     config.cv_cycle = 0.9;
-    Rng rng(13);
+    Counter_stream stream(13);
     for (int i = 0; i < 5000; ++i) {
-        const Cell_parameters p = draw_cell_parameters(config, rng);
+        const Cell_parameters p = draw_cell_parameters(config, stream);
         EXPECT_GT(p.phi_sst, 0.0);
         EXPECT_LT(p.phi_sst, 1.0);
         EXPECT_GE(p.cycle_minutes, 0.2 * config.mean_cycle_minutes);
@@ -67,10 +67,10 @@ TEST(DrawCellParameters, DrawsAreTruncatedToSaneWindows) {
 
 TEST(DrawInitialPhase, SynchronizedSwarmersStartInSwStage) {
     const Cell_cycle_config config;  // default mode: synchronized swarmers
-    Rng rng(5);
+    Counter_stream stream(5);
     for (int i = 0; i < 2000; ++i) {
-        const Cell_parameters p = draw_cell_parameters(config, rng);
-        const double phi0 = draw_initial_phase(config, p, rng);
+        const Cell_parameters p = draw_cell_parameters(config, stream);
+        const double phi0 = draw_initial_phase(config, p, stream);
         EXPECT_GE(phi0, 0.0);
         EXPECT_LE(phi0, p.phi_sst);  // paper: phi_k(0) <= phi_sst_k
     }
@@ -79,9 +79,9 @@ TEST(DrawInitialPhase, SynchronizedSwarmersStartInSwStage) {
 TEST(DrawInitialPhase, AllAtZeroMode) {
     Cell_cycle_config config;
     config.initial_mode = Initial_phase_mode::all_at_zero;
-    Rng rng(5);
-    const Cell_parameters p = draw_cell_parameters(config, rng);
-    EXPECT_DOUBLE_EQ(draw_initial_phase(config, p, rng), 0.0);
+    Counter_stream stream(5);
+    const Cell_parameters p = draw_cell_parameters(config, stream);
+    EXPECT_DOUBLE_EQ(draw_initial_phase(config, p, stream), 0.0);
 }
 
 TEST(DrawInitialPhase, StationaryModeMatchesExponentialAgeDensity) {
@@ -89,10 +89,10 @@ TEST(DrawInitialPhase, StationaryModeMatchesExponentialAgeDensity) {
     // mean = 1/ln2 - 1 ~ 0.4427.
     Cell_cycle_config config;
     config.initial_mode = Initial_phase_mode::stationary;
-    Rng rng(7);
+    Counter_stream stream(7);
     Vector draws(40000);
     const Cell_parameters p{0.15, 150.0};
-    for (double& d : draws) d = draw_initial_phase(config, p, rng);
+    for (double& d : draws) d = draw_initial_phase(config, p, stream);
     EXPECT_NEAR(mean(draws), 1.0 / std::log(2.0) - 1.0, 0.005);
     for (double d : draws) {
         EXPECT_GE(d, 0.0);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "population/phase_distribution.h"
 #include "spline/spline_basis.h"
 
 namespace cellsync {
@@ -181,6 +182,33 @@ TEST(BuildKernel, DeterministicGivenSeed) {
         for (std::size_t c = 0; c < a.bin_count(); ++c) {
             EXPECT_DOUBLE_EQ(a.q()(m, c), b.q()(m, c));
         }
+    }
+}
+
+TEST(BuildKernel, FusedHistogramMatchesSnapshotDensityBitwise) {
+    // build_kernel histograms live cells directly; it must give exactly
+    // the rows phase_volume_density gives on the materialized snapshot.
+    const Vector times{0.0, 37.5, 90.0, 151.0, 240.0};
+    const Kernel_build_options options = small_options();
+    Cell_cycle_config config;
+    config.initial_mode = Initial_phase_mode::stationary;
+    const Smooth_volume_model smooth;
+    const Linear_volume_model linear;
+    for (const Volume_model* vm : {static_cast<const Volume_model*>(&smooth),
+                                   static_cast<const Volume_model*>(&linear)}) {
+        const Kernel_grid fused = build_kernel(config, *vm, times, options);
+        Population_simulator sim(config, options.n_cells, options.seed);
+        Matrix q(times.size(), options.n_bins);
+        Vector centers;
+        for (std::size_t m = 0; m < times.size(); ++m) {
+            sim.advance_to(times[m]);
+            const Phase_density d = phase_volume_density(sim.snapshot(*vm), options.n_bins);
+            q.set_row(m, d.density);
+            centers = d.bin_centers;
+        }
+        const Kernel_grid via_snapshot(times, centers, std::move(q));
+        EXPECT_EQ(fused.phi_centers(), via_snapshot.phi_centers());
+        EXPECT_EQ(fused.q().data(), via_snapshot.q().data()) << vm->name();
     }
 }
 

@@ -182,6 +182,42 @@ TEST(KernelCache, StaleSidecarKeyIsIgnored) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(KernelCache, EntryUnderV1KeyIsRebuiltNotServed) {
+    // Kernels of the shared-stream simulator were stored under
+    // `cellsync-kernel-v1` keys. Plant one where that simulator put it
+    // (the hash of its v1 key, with a matching sidecar): the per-cell
+    // stream realization must be rebuilt, never served from it.
+    const std::string dir = fresh_dir("v1_key");
+    const Cell_cycle_config config;
+    const Smooth_volume_model vm;
+    const Vector times{0.0, 30.0};
+    std::string v1_key = Kernel_cache::cache_key(config, vm, times, tiny_options());
+    const std::string v2_prefix = "cellsync-kernel-v2;";
+    ASSERT_EQ(v1_key.rfind(v2_prefix, 0), 0u) << v1_key;
+    v1_key.replace(0, v2_prefix.size(), "cellsync-kernel-v1;");
+    const std::string v1_hash = Kernel_cache::key_hash(v1_key);
+    std::filesystem::create_directories(dir);
+    const Kernel_grid stale(times, {0.25, 0.75}, Matrix(2, 2, 1.0));
+    write_kernel_file(dir + "/kernel_" + v1_hash + ".bin", stale, Kernel_format::binary);
+    {
+        std::ofstream sidecar(dir + "/kernel_" + v1_hash + ".key", std::ios::binary);
+        sidecar << v1_key;
+    }
+
+    Kernel_cache cache(dir);
+    const auto served = cache.get_or_build(config, vm, times, tiny_options());
+    EXPECT_EQ(cache.stats().builds, 1u);
+    EXPECT_EQ(cache.stats().disk_hits, 0u);
+    expect_bit_identical(*served, build_kernel(config, vm, times, tiny_options()));
+
+    // The rebuilt entry now serves a fresh cache from disk.
+    Kernel_cache reader(dir);
+    expect_bit_identical(*reader.get_or_build(config, vm, times, tiny_options()), *served);
+    EXPECT_EQ(reader.stats().disk_hits, 1u);
+    EXPECT_EQ(reader.stats().builds, 0u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(KernelCache, EmptyDirectoryRejected) {
     EXPECT_THROW(Kernel_cache(std::string{}), std::invalid_argument);
 }
@@ -206,7 +242,7 @@ TEST(KernelCache, ManifestTracksEntriesBytesAndRecency) {
         << manifest.entries[0].key;
     for (const Kernel_cache_entry_info& entry : manifest.entries) {
         EXPECT_GT(entry.bytes, 0u);
-        EXPECT_NE(entry.key.find("cellsync-kernel-v1"), std::string::npos);
+        EXPECT_NE(entry.key.find("cellsync-kernel-v2"), std::string::npos);
     }
 
     // A disk hit from a fresh instance bumps the entry's recency.
@@ -600,7 +636,7 @@ TEST(KernelCache, MissingManifestIsRebuiltFromSidecars) {
     const Kernel_cache_manifest manifest = cache.manifest();
     ASSERT_EQ(manifest.entries.size(), 1u);
     EXPECT_GT(manifest.entries[0].bytes, 0u);
-    EXPECT_NE(manifest.entries[0].key.find("cellsync-kernel-v1"), std::string::npos);
+    EXPECT_NE(manifest.entries[0].key.find("cellsync-kernel-v2"), std::string::npos);
     // The rebuilt manifest still serves the disk entry.
     cache.get_or_build(config, vm, {0.0, 30.0}, tiny_options());
     EXPECT_EQ(cache.stats().disk_hits, 1u);

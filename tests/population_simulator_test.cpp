@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -117,9 +118,9 @@ TEST(PopulationSimulator, TotalVolumeGrowsMonotonically) {
 }
 
 TEST(PopulationSimulator, IncrementalAdvanceStatisticallyMatchesDirectAdvance) {
-    // Determinism is guaranteed for identical advance_to() schedules; a
-    // different schedule assigns RNG draws to daughters in a different
-    // order, so only the statistics must agree.
+    // Each cell draws from its own stream, so the two schedules even give
+    // the same cells (AdvanceScheduleDoesNotChangeTheRealization); the
+    // statistics must agree in any case.
     Population_simulator direct(Cell_cycle_config{}, 5000, 9);
     Population_simulator stepped(Cell_cycle_config{}, 5000, 9);
     direct.advance_to(150.0);
@@ -131,6 +132,34 @@ TEST(PopulationSimulator, IncrementalAdvanceStatisticallyMatchesDirectAdvance) {
     const double volume_ratio =
         direct.total_relative_volume(vm) / stepped.total_relative_volume(vm);
     EXPECT_NEAR(volume_ratio, 1.0, 0.02);
+}
+
+TEST(PopulationSimulator, AdvanceScheduleDoesNotChangeTheRealization) {
+    // Per-cell streams: a cell's parameters depend only on the seed and
+    // its lineage, so stepping through intermediate times yields the same
+    // set of cells as one direct advance (only their order may differ).
+    Cell_cycle_config config;
+    config.initial_mode = Initial_phase_mode::stationary;
+    Population_simulator direct(config, 3000, 12);
+    Population_simulator stepped(config, 3000, 12);
+    direct.advance_to(400.0);
+    for (double t = 7.0; t < 400.0; t += 13.0) stepped.advance_to(t);
+    stepped.advance_to(400.0);
+    auto sorted = [](std::vector<Simulated_cell> cells) {
+        std::sort(cells.begin(), cells.end(),
+                  [](const Simulated_cell& a, const Simulated_cell& b) { return a.key < b.key; });
+        return cells;
+    };
+    const std::vector<Simulated_cell> a = sorted(direct.cells());
+    const std::vector<Simulated_cell> b = sorted(stepped.cells());
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].key, b[i].key);
+        EXPECT_EQ(a[i].birth_time, b[i].birth_time);
+        EXPECT_EQ(a[i].birth_phase, b[i].birth_phase);
+        EXPECT_EQ(a[i].params.phi_sst, b[i].params.phi_sst);
+        EXPECT_EQ(a[i].params.cycle_minutes, b[i].params.cycle_minutes);
+    }
 }
 
 TEST(SimulatedCell, DivisionTimeArithmetic) {

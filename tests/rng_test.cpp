@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "numerics/statistics.h"
 
@@ -92,6 +94,59 @@ TEST(Rng, NormalVectorHasRequestedLength) {
     Rng rng(23);
     EXPECT_EQ(rng.normal_vector(5).size(), 5u);
     EXPECT_TRUE(rng.normal_vector(0).empty());
+}
+
+TEST(CounterStream, WordKOfKeyIsMixSeed) {
+    Counter_stream stream(0x1234abcdULL);
+    for (std::uint64_t k = 0; k < 100; ++k) EXPECT_EQ(stream.next_word(), mix_seed(0x1234abcdULL, k));
+}
+
+TEST(CounterStream, ChildKeysAreNeverParentWords) {
+    for (std::uint64_t key : {0ULL, 1ULL, 20110605ULL, 0xffffffffffffffffULL}) {
+        // The naive derivation collides with the parent's second word.
+        Counter_stream parent(key);
+        parent.next_word();
+        EXPECT_EQ(parent.next_word(), mix_seed(key, 1));
+        Counter_stream words(key);
+        std::vector<std::uint64_t> drawn(10000);
+        for (std::uint64_t& w : drawn) w = words.next_word();
+        const std::uint64_t sw = Counter_stream::child_key(key, 0);
+        const std::uint64_t st = Counter_stream::child_key(key, 1);
+        EXPECT_NE(sw, st);
+        EXPECT_NE(sw, key);
+        for (std::uint64_t w : drawn) {
+            EXPECT_NE(w, sw);
+            EXPECT_NE(w, st);
+        }
+    }
+}
+
+TEST(CounterStream, UniformAndNormalPairMoments) {
+    Counter_stream stream(77);
+    Vector u(20000), a(20000), b(20000);
+    for (double& x : u) {
+        x = stream.uniform();
+        EXPECT_GE(x, 0.0);
+        EXPECT_LT(x, 1.0);
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) stream.normal_pair(a[i], b[i]);
+    EXPECT_NEAR(mean(u), 0.5, 0.01);
+    EXPECT_NEAR(mean(a), 0.0, 0.03);
+    EXPECT_NEAR(mean(b), 0.0, 0.03);
+    EXPECT_NEAR(stddev(a), 1.0, 0.03);
+    EXPECT_NEAR(stddev(b), 1.0, 0.03);
+    EXPECT_LT(std::abs(pearson_correlation(a, b)), 0.03);  // the pair is independent
+}
+
+TEST(CounterStream, SameKeySameDraws) {
+    Counter_stream a(9), b(9);
+    for (int i = 0; i < 50; ++i) {
+        double a1 = 0.0, a2 = 0.0, b1 = 0.0, b2 = 0.0;
+        a.normal_pair(a1, a2);
+        b.normal_pair(b1, b2);
+        EXPECT_EQ(a1, b1);
+        EXPECT_EQ(a2, b2);
+    }
 }
 
 }  // namespace

@@ -1,23 +1,16 @@
 // Performance: the dense product kernels in the per-gene hot loop —
-// scalar reference vs the chunked (SIMD-friendly) dispatch vs the banded
-// span-skipping path vs the packed layout — across realistic design
-// shapes, including a cubic B-spline design whose rows are genuinely
-// banded, plus an occupancy sweep that justifies the
-// packed_occupancy_threshold crossover with data. Every timed variant is
-// also checked bit-for-bit against the reference; the speedups must come
-// with identical results.
-#include <algorithm>
+// scalar reference vs the chunked (SIMD-friendly) dispatch — across
+// realistic design shapes, including a cubic B-spline design. Every timed
+// variant is also checked bit-for-bit against the reference; the speedups
+// must come with identical results.
 #include <cstdio>
-#include <limits>
-#include <string>
 
-#include "numerics/banded.h"
+#include "numerics/matrix.h"
 #include "numerics/rng.h"
 #include "numerics/simd.h"
 #include "numerics/simd_dispatch.h"
 #include "perf_util.h"
 #include "spline/bspline.h"
-#include "spline/spline_basis.h"
 
 namespace {
 
@@ -38,9 +31,8 @@ Vector random_weights(Rng& rng, std::size_t n) {
 }
 
 // --------------------------------------------------------------------------
-// Google-Benchmark micro kernels over {rows, cols} shapes. The "banded"
-// variants run on a cubic B-spline design (bandwidth <= 4); the dense
-// variants run on a random fully dense matrix of the same shape.
+// Google-Benchmark micro kernels over {rows, cols} shapes, on a random
+// fully dense matrix.
 // --------------------------------------------------------------------------
 
 void bm_weighted_gram_reference(benchmark::State& state) {
@@ -60,19 +52,6 @@ void bm_weighted_gram_dispatch(benchmark::State& state) {
     const std::size_t rows = static_cast<std::size_t>(state.range(0));
     const std::size_t cols = static_cast<std::size_t>(state.range(1));
     const Matrix a = random_dense(rng, rows, cols);
-    const Vector w = random_weights(rng, rows);
-    for (auto _ : state) {
-        const Matrix g = weighted_gram(a, w);
-        benchmark::DoNotOptimize(g.data().data());
-    }
-}
-
-void bm_weighted_gram_banded(benchmark::State& state) {
-    Rng rng(1);
-    const std::size_t rows = static_cast<std::size_t>(state.range(0));
-    const std::size_t cols = static_cast<std::size_t>(state.range(1));
-    const Bspline_basis basis(cols);
-    const Banded_matrix a = basis.design_matrix_banded(linspace(0.0, 1.0, rows));
     const Vector w = random_weights(rng, rows);
     for (auto _ : state) {
         const Matrix g = weighted_gram(a, w);
@@ -104,22 +83,9 @@ void bm_transposed_times_dispatch(benchmark::State& state) {
     }
 }
 
-void bm_transposed_times_banded(benchmark::State& state) {
-    Rng rng(2);
-    const std::size_t rows = static_cast<std::size_t>(state.range(0));
-    const std::size_t cols = static_cast<std::size_t>(state.range(1));
-    const Bspline_basis basis(cols);
-    const Banded_matrix a = basis.design_matrix_banded(linspace(0.0, 1.0, rows));
-    const Vector x = random_weights(rng, rows);
-    for (auto _ : state) {
-        const Vector y = transposed_times(a, x);
-        benchmark::DoNotOptimize(y.data());
-    }
-}
-
 // --------------------------------------------------------------------------
-// Summary section: one timed dense-vs-chunked-vs-banded comparison on a
-// B-spline design, with bit-identity asserted, written into the JSON.
+// Summary section: one timed reference-vs-chunked comparison on a B-spline
+// design, with bit-identity asserted, written into the JSON.
 // --------------------------------------------------------------------------
 
 void run_gram_summary(cellsync::bench::Bench_json& json) {
@@ -129,8 +95,7 @@ void run_gram_summary(cellsync::bench::Bench_json& json) {
 
     Rng rng(3);
     const Bspline_basis basis(cols);
-    const Banded_matrix banded = basis.design_matrix_banded(linspace(0.0, 1.0, rows));
-    const Matrix& dense = banded.dense();
+    const Matrix dense = basis.design_matrix(linspace(0.0, 1.0, rows));
     const Vector w = random_weights(rng, rows);
 
     const cellsync::bench::Stopwatch ref_watch;
@@ -138,214 +103,39 @@ void run_gram_summary(cellsync::bench::Bench_json& json) {
         const Matrix g = weighted_gram_reference(dense, w);
         benchmark::DoNotOptimize(g.data().data());
     }
-    const double ref_ms =
-        ref_watch.elapsed_ms();
+    const double ref_ms = ref_watch.elapsed_ms();
 
     const cellsync::bench::Stopwatch simd_watch;
     for (std::size_t r = 0; r < reps; ++r) {
         const Matrix g = weighted_gram(dense, w);
         benchmark::DoNotOptimize(g.data().data());
     }
-    const double simd_ms =
-        simd_watch.elapsed_ms();
-
-    const cellsync::bench::Stopwatch banded_watch;
-    for (std::size_t r = 0; r < reps; ++r) {
-        const Matrix g = weighted_gram(banded, w);
-        benchmark::DoNotOptimize(g.data().data());
-    }
-    const double banded_ms =
-        banded_watch.elapsed_ms();
+    const double simd_ms = simd_watch.elapsed_ms();
 
     const Matrix g_ref = weighted_gram_reference(dense, w);
     const Matrix g_simd = weighted_gram(dense, w);
-    const Matrix g_banded = weighted_gram(banded, w);
     bool identical = true;
     for (std::size_t i = 0; i < cols && identical; ++i) {
         for (std::size_t j = 0; j < cols && identical; ++j) {
-            if (g_ref(i, j) != g_simd(i, j) || g_ref(i, j) != g_banded(i, j)) {
-                identical = false;
-            }
+            if (g_ref(i, j) != g_simd(i, j)) identical = false;
         }
     }
 
-    const double occupancy = banded.band_occupancy();
     std::printf("weighted_gram on a %zux%zu B-spline design (%zu reps)\n", rows, cols, reps);
     std::printf("  scalar reference : %9.1f ms\n", ref_ms);
-    std::printf("  chunked dispatch : %9.1f ms (SIMD kernels %s)\n", simd_ms,
-                simd_kernels_enabled ? "on" : "off");
-    std::printf("  banded           : %9.1f ms (occupancy %.3f, bandwidth %zu)\n",
-                banded_ms, occupancy, banded.max_bandwidth());
+    std::printf("  chunked dispatch : %9.1f ms (SIMD kernels %s, tier %s)\n", simd_ms,
+                simd_kernels_enabled ? "on" : "off", simd::tier_name(simd::active_tier()));
     std::printf("  bit-identical    : %s\n\n", identical ? "yes" : "NO");
-
-    // The packed layout on the same design (the occupancy ~0.17 B-spline
-    // design is exactly the shape Design_matrix packs in production).
-    const Packed_banded_matrix packed(banded);
-    const cellsync::bench::Stopwatch packed_watch;
-    for (std::size_t r = 0; r < reps; ++r) {
-        const Matrix g = weighted_gram(packed, w);
-        benchmark::DoNotOptimize(g.data().data());
-    }
-    const double packed_ms = packed_watch.elapsed_ms();
-    const Matrix g_packed = weighted_gram(packed, w);
-    bool packed_identical = true;
-    for (std::size_t i = 0; i < cols && packed_identical; ++i) {
-        for (std::size_t j = 0; j < cols && packed_identical; ++j) {
-            if (g_ref(i, j) != g_packed(i, j)) packed_identical = false;
-        }
-    }
-    std::printf("  packed           : %9.1f ms (bit-identical: %s)\n\n", packed_ms,
-                packed_identical ? "yes" : "NO");
 
     json.add("summary_rows", static_cast<double>(rows));
     json.add("summary_cols", static_cast<double>(cols));
     json.add("summary_reference_ms", ref_ms);
     json.add("summary_simd_ms", simd_ms);
-    json.add("summary_banded_ms", banded_ms);
-    json.add("summary_packed_ms", packed_ms);
     json.add("summary_simd_speedup", simd_ms > 0.0 ? ref_ms / simd_ms : 0.0);
-    json.add("summary_banded_speedup", banded_ms > 0.0 ? ref_ms / banded_ms : 0.0);
-    json.add("summary_packed_speedup", packed_ms > 0.0 ? ref_ms / packed_ms : 0.0);
-    json.add("summary_band_occupancy", occupancy);
-    json.add("summary_bit_identical", identical && packed_identical ? 1.0 : 0.0);
+    json.add("summary_bit_identical", identical ? 1.0 : 0.0);
     json.add("summary_simd_enabled", simd_kernels_enabled ? 1.0 : 0.0);
     json.add("summary_dispatch_tier",
              static_cast<double>(static_cast<int>(simd::active_tier())));
-}
-
-// --------------------------------------------------------------------------
-// Occupancy sweep: synthetic banded matrices with a staggered diagonal
-// band sized to hit each target occupancy, timed through the dense
-// chunked kernels, the span-banded (dense-backed) path, and the packed
-// layout. This is the data behind packed_occupancy_threshold: the packed
-// kernels must win clearly at low occupancy (CI asserts the <= 0.2
-// points in BENCH_gram.json) and converge toward the others as the band
-// fills up. All three variants are bit-identity-checked against the
-// scalar reference at every point.
-// --------------------------------------------------------------------------
-
-// A rows x cols matrix whose row spans are `width` wide and slide from
-// the left edge to the right edge down the rows (occupancy == width/cols
-// exactly).
-Matrix staggered_band(Rng& rng, std::size_t rows, std::size_t cols, std::size_t width) {
-    Matrix m(rows, cols, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t begin =
-            rows > 1 ? (i * (cols - width)) / (rows - 1) : std::size_t{0};
-        for (std::size_t j = begin; j < begin + width; ++j) {
-            double v = rng.uniform(-1.0, 1.0);
-            if (v == 0.0) v = 0.5;
-            m(i, j) = v;
-        }
-    }
-    return m;
-}
-
-void run_occupancy_sweep(cellsync::bench::Bench_json& json) {
-    constexpr std::size_t rows = 4096;
-    constexpr std::size_t cols = 64;
-    constexpr double targets[] = {0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 0.9};
-
-    Rng rng(17);
-    std::printf("weighted_gram occupancy sweep (%zux%zu, staggered band)\n", rows, cols);
-    std::printf("  %-5s %-6s %12s %12s %12s %10s %5s\n", "occ", "width", "dense ms",
-                "banded ms", "packed ms", "pk/bd", "bits");
-
-    for (const double target : targets) {
-        const std::size_t width = std::clamp<std::size_t>(
-            static_cast<std::size_t>(target * static_cast<double>(cols) + 0.5), 1, cols);
-        const Matrix dense = staggered_band(rng, rows, cols, width);
-        const Banded_matrix banded(dense);
-        const Packed_banded_matrix packed(dense);
-        const Vector w = random_weights(rng, rows);
-        const double occupancy = banded.band_occupancy();
-
-        // Per-rep work scales with the band, so each variant gets a rep
-        // count targeting a comparable total and reports per-rep time.
-        // Interleaved best-of-chunks timing (as in perf_deconvolve)
-        // keeps a load spike from deciding the packed-vs-banded verdict.
-        const std::size_t band_ops = rows * (width * width + 4 * width);
-        const std::size_t reps =
-            std::max<std::size_t>(60, 150'000'000 / std::max<std::size_t>(1, band_ops));
-        const std::size_t dense_reps =
-            std::max<std::size_t>(20, 150'000'000 / (rows * cols * cols));
-
-        const auto time_best = [](std::size_t chunks, std::size_t chunk_reps,
-                                  const auto& body) {
-            body(1);  // warm-up, untimed
-            double best = std::numeric_limits<double>::infinity();
-            for (std::size_t c = 0; c < chunks; ++c) {
-                const cellsync::bench::Stopwatch watch;
-                body(chunk_reps);
-                best = std::min(best, watch.elapsed_ms());
-            }
-            return best / static_cast<double>(chunk_reps);
-        };
-
-        constexpr std::size_t chunks = 4;
-        double banded_per_rep = std::numeric_limits<double>::infinity();
-        double packed_per_rep = std::numeric_limits<double>::infinity();
-        // Alternate the two contenders chunk by chunk.
-        for (std::size_t c = 0; c < chunks; ++c) {
-            banded_per_rep = std::min(
-                banded_per_rep, time_best(1, reps / chunks, [&](std::size_t n) {
-                    for (std::size_t r = 0; r < n; ++r) {
-                        const Matrix g = weighted_gram(banded, w);
-                        benchmark::DoNotOptimize(g.data().data());
-                    }
-                }));
-            packed_per_rep = std::min(
-                packed_per_rep, time_best(1, reps / chunks, [&](std::size_t n) {
-                    for (std::size_t r = 0; r < n; ++r) {
-                        const Matrix g = weighted_gram(packed, w);
-                        benchmark::DoNotOptimize(g.data().data());
-                    }
-                }));
-        }
-        const double dense_per_rep =
-            time_best(chunks, dense_reps, [&](std::size_t n) {
-                for (std::size_t r = 0; r < n; ++r) {
-                    const Matrix g = weighted_gram(dense, w);
-                    benchmark::DoNotOptimize(g.data().data());
-                }
-            });
-
-        const Matrix g_ref = weighted_gram_reference(dense, w);
-        const Matrix g_dense = weighted_gram(dense, w);
-        const Matrix g_banded = weighted_gram(banded, w);
-        const Matrix g_packed = weighted_gram(packed, w);
-        bool identical = true;
-        for (std::size_t i = 0; i < cols && identical; ++i) {
-            for (std::size_t j = 0; j < cols && identical; ++j) {
-                if (g_ref(i, j) != g_dense(i, j) || g_ref(i, j) != g_banded(i, j) ||
-                    g_ref(i, j) != g_packed(i, j)) {
-                    identical = false;
-                }
-            }
-        }
-
-        const double speedup =
-            packed_per_rep > 0.0 ? banded_per_rep / packed_per_rep : 0.0;
-        std::printf("  %-5.2f %-6zu %12.4f %12.4f %12.4f %9.2fx %5s\n", occupancy, width,
-                    dense_per_rep, banded_per_rep, packed_per_rep, speedup,
-                    identical ? "ok" : "NO");
-
-        // Keys carry the occupancy in percent: sweep_occ05_*, sweep_occ20_*...
-        char prefix[32];
-        std::snprintf(prefix, sizeof(prefix), "sweep_occ%02d",
-                      static_cast<int>(target * 100.0 + 0.5));
-        const std::string p(prefix);
-        json.add(p + "_occupancy", occupancy);
-        json.add(p + "_dense_ms_per_rep", dense_per_rep);
-        json.add(p + "_banded_ms_per_rep", banded_per_rep);
-        json.add(p + "_packed_ms_per_rep", packed_per_rep);
-        json.add(p + "_packed_speedup_vs_banded", speedup);
-        json.add(p + "_bit_identical", identical ? 1.0 : 0.0);
-    }
-    std::printf("  packed_occupancy_threshold = %.2f\n\n", packed_occupancy_threshold);
-    json.add("sweep_rows", static_cast<double>(rows));
-    json.add("sweep_cols", static_cast<double>(cols));
-    json.add("sweep_packed_threshold", packed_occupancy_threshold);
 }
 
 }  // namespace
@@ -358,17 +148,11 @@ BENCHMARK(bm_weighted_gram_dispatch)
     ->Args({13, 18})
     ->Args({200, 24})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_weighted_gram_banded)
-    ->Args({13, 18})
-    ->Args({200, 24})
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_transposed_times_reference)->Args({200, 24})->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_transposed_times_dispatch)->Args({200, 24})->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_transposed_times_banded)->Args({200, 24})->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
     cellsync::bench::Bench_json json("gram");
     run_gram_summary(json);
-    run_occupancy_sweep(json);
     return cellsync::bench::run_perf_harness(argc, argv, std::move(json));
 }

@@ -35,7 +35,7 @@ std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed
 Kfold_plan::Kfold_plan(const Deconvolver& deconvolver, const Measurement_series& series,
                        const Deconvolution_options& base_options, std::size_t folds,
                        std::uint64_t seed)
-    : backend_(base_options.backend), qp_(base_options.qp), values_(series.values) {
+    : qp_(base_options.qp), values_(series.values) {
     series.validate();
     if (folds < 2) throw std::invalid_argument("k-fold CV: need at least 2 folds");
     const std::shared_ptr<const Design_artifacts>& artifacts = deconvolver.artifacts();
@@ -95,11 +95,6 @@ double Kfold_plan::score(double lambda) const {
     double score = 0.0;
     for (const Fold& fold : folds_) {
         if (!reduced_) return disqualified;
-        if (backend_ == Qp_backend::nnls) {
-            throw std::invalid_argument(
-                "k-fold CV: the nnls backend cannot solve the deconvolution QP (its "
-                "constraints are not positivity-only)");
-        }
         solves.add();
         const Reduced_design& reduced = *reduced_;
         const std::size_t nz = reduced.kz.cols();

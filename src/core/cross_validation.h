@@ -83,8 +83,7 @@ class Kfold_plan {
 
     /// Mean weighted held-out squared error at `lambda`; +inf when a
     /// fold's constrained fit fails or is not finite (that lambda is
-    /// disqualified). Throws std::invalid_argument for lambda < 0 and for
-    /// the nnls backend, which cannot solve the deconvolution QP.
+    /// disqualified). Throws std::invalid_argument for lambda < 0.
     double score(double lambda) const;
 
     /// Score every grid point — in parallel over `pool` when given — and
@@ -103,7 +102,6 @@ class Kfold_plan {
     /// fold fit fails, as it did when each fit rebuilt the geometry.
     std::shared_ptr<const Qp_constraint_prep> prep_;
     std::shared_ptr<const Reduced_design> reduced_;
-    Qp_backend backend_;
     Qp_options qp_;
     Vector values_;
     Vector weights_;

@@ -41,7 +41,7 @@ Vector Single_cell_estimate::sample_time(const Vector& t_minutes, double cycle_m
     return out;
 }
 
-Row_normal_equations row_normal_equations(const Design_matrix& kernel,
+Row_normal_equations row_normal_equations(const Matrix& kernel,
                                           const std::vector<std::size_t>& rows,
                                           const Vector& values, const Vector& weights) {
     Vector g_sub(rows.size());
@@ -58,18 +58,15 @@ Row_normal_equations row_normal_equations(const Design_matrix& kernel,
 
 Constrained_qp::Constrained_qp(const std::shared_ptr<const Design_artifacts>& artifacts,
                                const Deconvolution_options& options)
-    : artifacts_(artifacts), ridge_(options.ridge), backend_(options.backend), qp_(options.qp) {
+    : artifacts_(artifacts), ridge_(options.ridge), qp_(options.qp) {
     if (options.constraints == artifacts->constraint_options) {
-        // Aliasing pointer: the design's blocks, kept alive by the design.
-        constraints_ = std::shared_ptr<const Constraint_set>(artifacts, &artifacts->constraints);
         prep_ = artifacts->constraint_prep;
     } else {
-        auto local = std::make_shared<const Constraint_set>(
-            build_constraints(*artifacts->basis, artifacts->config, options.constraints));
+        const Constraint_set local =
+            build_constraints(*artifacts->basis, artifacts->config, options.constraints);
         prep_ = std::make_shared<const Qp_constraint_prep>(
-            artifacts->basis->size(), local->equality, local->equality_rhs, local->inequality,
-            local->inequality_rhs);
-        constraints_ = std::move(local);
+            artifacts->basis->size(), local.equality, local.equality_rhs, local.inequality,
+            local.inequality_rhs);
     }
 }
 
@@ -86,21 +83,10 @@ Qp_result Constrained_qp::solve(const Row_normal_equations& data, double lambda)
         }
         hessian(i, i) += 2.0 * ridge_;
     }
-    const Vector& gradient = data.gradient;
-    if (backend_ == Qp_backend::automatic || backend_ == Qp_backend::active_set) {
-        // The dual (Goldfarb-Idnani) solver through the shared constraint
-        // preparation: no feasible start needed and robust on the dense,
-        // near-degenerate positivity grid.
-        return solve_qp_dual_prepared(hessian, gradient, *prep_, qp_);
-    }
-    Qp_problem qp;
-    qp.hessian = std::move(hessian);
-    qp.gradient = gradient;
-    qp.eq_matrix = constraints_->equality;
-    qp.eq_rhs = constraints_->equality_rhs;
-    qp.ineq_matrix = constraints_->inequality;
-    qp.ineq_rhs = constraints_->inequality_rhs;
-    return make_qp_solver(backend_)->solve(qp, qp_);
+    // The dual (Goldfarb-Idnani) solver through the shared constraint
+    // preparation: no feasible start needed and robust on the dense,
+    // near-degenerate positivity grid.
+    return solve_qp_dual_prepared(hessian, data.gradient, *prep_, qp_);
 }
 
 Deconvolver::Deconvolver(std::shared_ptr<const Basis> basis, const Kernel_grid& kernel,
@@ -130,7 +116,7 @@ Single_cell_estimate Deconvolver::package(Vector alpha, const Measurement_series
                                           double lambda) const {
     Single_cell_estimate est(artifacts_->basis, std::move(alpha));
     est.lambda = lambda;
-    est.fitted = artifacts_->kernel_design * est.coefficients();
+    est.fitted = artifacts_->kernel_matrix * est.coefficients();
     const Vector w = series.weights();
     double chi2 = 0.0;
     for (std::size_t m = 0; m < series.size(); ++m) {
@@ -168,7 +154,7 @@ Single_cell_estimate Deconvolver::estimate_on_rows(const Measurement_series& ser
     }
 
     const Qp_result result = Constrained_qp(artifacts_, options)
-                                 .solve(row_normal_equations(artifacts_->kernel_design, rows,
+                                 .solve(row_normal_equations(artifacts_->kernel_matrix, rows,
                                                              series.values, series.weights()),
                                         options.lambda);
     Single_cell_estimate est = package(result.x, series, options.lambda);
@@ -187,11 +173,11 @@ Single_cell_estimate Deconvolver::estimate_unconstrained(const Measurement_serie
     // Normal equations (K'WK + lambda Omega + ridge I) alpha = K'W G through
     // the cached-block KKT object (Cholesky, LDLT on the semi-definite
     // corner).
-    Kkt_factorization kkt(weighted_gram(artifacts_->kernel_design, w), artifacts_->penalty,
+    Kkt_factorization kkt(weighted_gram(artifacts_->kernel_matrix, w), artifacts_->penalty,
                           Matrix(0, n));
     kkt.factorize(lambda, ridge);
     const Vector rhs =
-        transposed_times(artifacts_->kernel_design, hadamard(w, series.values));
+        transposed_times(artifacts_->kernel_matrix, hadamard(w, series.values));
     Vector alpha = kkt.solve(scaled(rhs, -1.0), Vector{});
     return package(std::move(alpha), series, lambda);
 }

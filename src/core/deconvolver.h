@@ -8,8 +8,8 @@
 //
 // over basis coefficients alpha, subject to positivity, RNA conservation
 // across division, and transcription-rate continuity (paper Secs 2.3, 3.2).
-// The problem is a convex QP solved through the pluggable solver layer
-// (numerics/qp_backend.h); all gene-independent precomputation lives in a
+// The problem is a convex QP solved by the Goldfarb-Idnani dual solver
+// (numerics/qp_solver.h); all gene-independent precomputation lives in a
 // shared Design_artifacts (core/design.h).
 #pragma once
 
@@ -17,7 +17,6 @@
 
 #include "core/design.h"
 #include "io/measurement.h"
-#include "numerics/qp_backend.h"
 #include "population/kernel_builder.h"
 #include "spline/basis.h"
 
@@ -29,12 +28,6 @@ struct Deconvolution_options {
     Constraint_options constraints;  ///< which physical constraints to enforce
     double ridge = 1e-9;             ///< tiny Tikhonov term stabilizing the QP Hessian
     Qp_options qp;                   ///< active-set solver controls
-    /// Solver backend for the constrained QP. `automatic` uses the
-    /// prepared active-set path (the NNLS fast path only applies to
-    /// coefficient-positivity problems, which the spline constraints are
-    /// not); `nnls` forces the projected solver and throws when the
-    /// problem structure does not qualify.
-    Qp_backend backend = Qp_backend::automatic;
 };
 
 /// The recovered single-cell expression profile f(phi) with fit
@@ -81,9 +74,9 @@ struct Row_normal_equations {
 };
 
 /// Accumulate Row_normal_equations for `rows` straight off the shared
-/// design kernel: no row copies, structurally zero kernel blocks skipped.
-/// `values` and `weights` are full-length, indexed by the rows.
-Row_normal_equations row_normal_equations(const Design_matrix& kernel,
+/// design kernel, without copying the rows out. `values` and `weights`
+/// are full-length, indexed by the rows.
+Row_normal_equations row_normal_equations(const Matrix& kernel,
                                           const std::vector<std::size_t>& rows,
                                           const Vector& values, const Vector& weights);
 
@@ -97,16 +90,17 @@ Row_normal_equations row_normal_equations(const Design_matrix& kernel,
 /// construction: concurrent solve() calls are safe.
 class Constrained_qp {
   public:
-    /// `options` supplies the constraint geometry, ridge, backend and QP
-    /// controls; its lambda is unused (each solve() names its own).
+    /// `options` supplies the constraint geometry, ridge and QP controls;
+    /// its lambda is unused (each solve() names its own).
     /// Throws std::runtime_error when a rebuilt geometry's equality
     /// constraints are inconsistent.
     Constrained_qp(const std::shared_ptr<const Design_artifacts>& artifacts,
                    const Deconvolution_options& options);
 
     /// Minimize 0.5 x'Hx + g'x with H = 2 (K'WK + lambda Omega) + 2 ridge I
-    /// and g = -2 K'WG from `data`, under the constraints with the
-    /// options' backend. Propagates QP failures as std::runtime_error.
+    /// and g = -2 K'WG from `data`, under the constraints, through the
+    /// dual solver on the prepared geometry. Propagates QP failures as
+    /// std::runtime_error.
     Qp_result solve(const Row_normal_equations& data, double lambda) const;
 
     /// The geometry's null-space reduction: the design's own when the
@@ -115,10 +109,8 @@ class Constrained_qp {
 
   private:
     std::shared_ptr<const Design_artifacts> artifacts_;
-    std::shared_ptr<const Constraint_set> constraints_;
     std::shared_ptr<const Qp_constraint_prep> prep_;
     double ridge_;
-    Qp_backend backend_;
     Qp_options qp_;
 };
 
@@ -145,11 +137,6 @@ class Deconvolver {
 
     /// Kernel matrix K(m, i) = integral Q(phi, t_m) psi_i(phi) dphi.
     const Matrix& kernel_matrix() const { return artifacts_->kernel_matrix; }
-
-    /// The same kernel behind the layout seam (packed or dense-backed
-    /// banded, decided per matrix by occupancy — the input of the
-    /// banded/packed product kernels).
-    const Design_matrix& kernel_design() const { return artifacts_->kernel_design; }
 
     /// Penalty Gram matrix Omega.
     const Matrix& penalty() const { return artifacts_->penalty; }

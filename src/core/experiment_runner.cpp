@@ -131,7 +131,7 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
     // One grid design per condition: each profile is then a single
     // mat-vec, bit-identical to estimate.sample(score_phi) (the same
     // increasing-index accumulation per grid point).
-    const Design_matrix score_design = basis.design_matrix_auto(score_phi);
+    const Matrix score_design = basis.design_matrix(score_phi);
     for (const Batch_entry& entry : out.genes) {
         if (!entry.estimate.has_value()) continue;
         const Vector values = score_design * entry.estimate->coefficients();

@@ -172,7 +172,23 @@ Table read_csv_file(const std::string& path) {
     return read_csv(in);
 }
 
-void write_csv(std::ostream& out, const Table& table) {
+namespace {
+
+/// The strict reader rejects inf/nan, so no writer may emit them: refuse
+/// the whole table before the first byte goes out.
+void require_finite(const Table& table) {
+    for (std::size_t c = 0; c < table.column_count(); ++c) {
+        const Vector& column = table.column(c);
+        for (std::size_t r = 0; r < column.size(); ++r) {
+            if (!std::isfinite(column[r])) {
+                throw std::runtime_error("CSV: column '" + table.names()[c] + "' row " +
+                                         std::to_string(r) + " is not finite");
+            }
+        }
+    }
+}
+
+void write_rows(std::ostream& out, const Table& table) {
     for (std::size_t c = 0; c < table.column_count(); ++c) {
         out << (c ? "," : "") << table.names()[c];
     }
@@ -196,10 +212,18 @@ void write_csv(std::ostream& out, const Table& table) {
     }
 }
 
+}  // namespace
+
+void write_csv(std::ostream& out, const Table& table) {
+    require_finite(table);
+    write_rows(out, table);
+}
+
 void write_csv_file(const std::string& path, const Table& table) {
+    require_finite(table);  // before the open truncates an existing file
     std::ofstream out(path);
     if (!out) throw std::runtime_error("CSV: cannot open '" + path + "' for writing");
-    write_csv(out, table);
+    write_rows(out, table);
     // A full disk fails the buffered writes only at flush time; without
     // this check a truncated table would be reported as success.
     out.flush();

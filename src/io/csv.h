@@ -62,11 +62,15 @@ double parse_strict_double(const std::string& text);
 std::uint64_t parse_strict_uint64(const std::string& text);
 
 /// Write a table as CSV (header + rows, '\n' line endings, max precision).
+/// Throws std::runtime_error naming the column and row of the first
+/// non-finite value, before writing anything: every written file reads
+/// back under the strict finite-only parser.
 void write_csv(std::ostream& out, const Table& table);
 
-/// Write a table to a file. Throws std::runtime_error on open failure
-/// and — after flushing — on any write failure, so a full disk surfaces
-/// as an error instead of a silently truncated file.
+/// Write a table to a file. Throws std::runtime_error on a non-finite
+/// value (before the file is opened), on open failure and — after
+/// flushing — on any write failure, so a full disk surfaces as an error
+/// instead of a silently truncated file.
 void write_csv_file(const std::string& path, const Table& table);
 
 }  // namespace cellsync

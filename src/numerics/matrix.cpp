@@ -16,6 +16,12 @@ void require_shape(bool ok, const char* what) {
     if (!ok) throw std::invalid_argument(std::string("Matrix: ") + what);
 }
 
+void mirror_upper(Matrix& g) {
+    for (std::size_t i = 1; i < g.rows(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
+    }
+}
+
 }  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
@@ -229,16 +235,6 @@ Vector transposed_times(const Matrix& a, const Vector& x) {
     return y;
 }
 
-namespace {
-
-void mirror_upper(Matrix& g) {
-    for (std::size_t i = 1; i < g.rows(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-    }
-}
-
-}  // namespace
-
 // The left factor column t[k] = w[k] * a(k, i) (or a(k, i) unweighted) is
 // hoisted here, in the baseline-compiled TU, once per i — so the hoist
 // arithmetic is byte-for-byte the same whichever dispatch tier fills the
@@ -294,5 +290,40 @@ Matrix weighted_gram(const Matrix& a, const Vector& w) {
 }
 
 #endif  // CELLSYNC_SIMD
+
+// The row-subset kernels run the same code in both builds. The Gram goes
+// through the dispatched j-blocked kernel, which hoists (w * a) per row
+// and so keeps the ((w * a) * a) association of the reference.
+
+Matrix weighted_gram_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                          const Vector& w) {
+    require_shape(rows.size() == w.size(), "weighted_gram_rows: weight length mismatch");
+    for (std::size_t k : rows) {
+        require_shape(k < a.rows(), "weighted_gram_rows: row index out of range");
+    }
+    const std::size_t n = a.cols();
+    Matrix g(n, n);
+    if (n == 0) return g;
+    simd::kernels().gram_rows_blocked(&g(0, 0), a.data().data(), rows.data(), rows.size(),
+                                      n, w.data());
+    mirror_upper(g);
+    return g;
+}
+
+Vector weighted_transposed_times_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                                      const Vector& w, const Vector& x) {
+    require_shape(rows.size() == w.size() && rows.size() == x.size(),
+                  "weighted_transposed_times_rows: length mismatch");
+    const std::size_t cols = a.cols();
+    Vector y(cols, 0.0);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        require_shape(rows[r] < a.rows(),
+                      "weighted_transposed_times_rows: row index out of range");
+        const double* ak = a.data().data() + rows[r] * cols;
+        const double wx = w[r] * x[r];
+        for (std::size_t j = 0; j < cols; ++j) y[j] += ak[j] * wx;
+    }
+    return y;
+}
 
 }  // namespace cellsync

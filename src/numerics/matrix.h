@@ -102,13 +102,10 @@ Matrix operator*(const Matrix& a, const Matrix& b);
 // ---------------------------------------------------------------------------
 // Dense product kernels.
 //
-// Non-finite policy (shared by operator*, transposed_times, gram and
-// weighted_gram, dense and chunked alike): no operand value is ever
-// inspected to skip work, so NaN and Inf propagate through every product
-// exactly as IEEE arithmetic dictates. Zero entries are exploited only
-// *structurally*, through numerics/banded.h, whose per-row spans are
-// detected from the stored values — a non-finite entry is "nonzero" and
-// therefore always lands inside the band and propagates there too.
+// Non-finite policy (shared by every product kernel below, chunked and
+// reference alike): no operand value is ever inspected to skip work, so
+// NaN and Inf propagate through every product exactly as IEEE arithmetic
+// dictates.
 //
 // Accumulation order: every output element accumulates its terms in
 // increasing row index (for reductions over rows) or increasing column
@@ -130,9 +127,23 @@ Matrix gram(const Matrix& a);
 /// a^T * diag(w) * a with non-negative weights w (size = a.rows()).
 Matrix weighted_gram(const Matrix& a, const Vector& w);
 
+/// Row-subset Gram a(rows, :)^T diag(w) a(rows, :), w[r] weighting row
+/// rows[r] (duplicates allowed): bit-identical to copying the rows out
+/// and calling weighted_gram on the submatrix, without the copy. Throws
+/// std::invalid_argument on a length mismatch or an out-of-range row.
+Matrix weighted_gram_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                          const Vector& w);
+
+/// Row-subset right-hand side a(rows, :)^T (w . x), forming each
+/// w[r] * x[r] on the fly: bit-identical to transposed_times on the
+/// copied-out rows and hadamard(w, x). This is the K'WG gather of the
+/// per-gene normal equations. Throws like weighted_gram_rows.
+Vector weighted_transposed_times_rows(const Matrix& a, const std::vector<std::size_t>& rows,
+                                      const Vector& w, const Vector& x);
+
 // Reference kernels: the plain scalar loops, always compiled regardless of
-// CELLSYNC_SIMD. They are the bit-level ground truth the chunked and
-// banded kernels are property-tested against, and the baseline the
+// CELLSYNC_SIMD. They are the bit-level ground truth the chunked
+// kernels are property-tested against, and the baseline the
 // perf_gram / perf_deconvolve benches time the fast paths over.
 Vector matvec_reference(const Matrix& a, const Vector& x);
 Vector transposed_times_reference(const Matrix& a, const Vector& x);

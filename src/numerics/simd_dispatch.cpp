@@ -24,9 +24,6 @@ const Kernel_table& table();
 namespace k_fma {
 const Kernel_table& table();
 }
-namespace k_fma_contract {
-const Kernel_table& table();
-}
 #endif
 
 namespace {
@@ -46,8 +43,6 @@ const Kernel_table* table_for(Tier tier) {
             return &k_avx2::table();
         case Tier::fma:
             return &k_fma::table();
-        case Tier::fma_contract:
-            return &k_fma_contract::table();
 #else
         default:
             break;
@@ -56,9 +51,7 @@ const Kernel_table* table_for(Tier tier) {
     return nullptr;
 }
 
-/// Best tier the host CPU can execute with this build's tables. Never
-/// fma_contract: the opt-out tier shares the fma ISA requirements but is
-/// only reached by explicit request.
+/// Best tier the host CPU can execute with this build's tables.
 Tier detect_cpu_tier() {
 #if defined(CELLSYNC_DISPATCH_ISA)
     if (__builtin_cpu_supports("avx2")) {
@@ -72,7 +65,7 @@ Tier detect_cpu_tier() {
 bool cpu_can_run(Tier tier) {
     const Tier best = detect_cpu_tier();
     if (tier == Tier::scalar) return true;
-    if (tier == Tier::fma || tier == Tier::fma_contract) return best == Tier::fma;
+    if (tier == Tier::fma) return best == Tier::fma;
     return best == Tier::fma || best == Tier::avx2;  // avx2
 }
 
@@ -83,8 +76,6 @@ bool parse_tier(const char* s, Tier* out) {
         *out = Tier::avx2;
     } else if (std::strcmp(s, "fma") == 0) {
         *out = Tier::fma;
-    } else if (std::strcmp(s, "fma-contract") == 0) {
-        *out = Tier::fma_contract;
     } else {
         return false;
     }
@@ -104,7 +95,7 @@ Resolution resolve() {
         if (!parse_tier(env, &forced)) {
             std::fprintf(stderr,
                          "cellsync: ignoring unknown CELLSYNC_DISPATCH value '%s' "
-                         "(expected scalar|avx2|fma|fma-contract)\n",
+                         "(expected scalar|avx2|fma)\n",
                          env);
         } else if (table_for(forced) == nullptr || !cpu_can_run(forced)) {
             std::fprintf(stderr,
@@ -166,13 +157,9 @@ const char* tier_name(Tier tier) {
             return "avx2";
         case Tier::fma:
             return "fma";
-        case Tier::fma_contract:
-            return "fma-contract";
     }
     return "unknown";
 }
-
-bool tier_bit_identical(Tier tier) { return tier != Tier::fma_contract; }
 
 bool set_tier_for_testing(Tier tier) {
     const Kernel_table* table = table_for(tier);

@@ -8,22 +8,18 @@
 // (see the CELLSYNC_DISPATCH_ISA block in CMakeLists.txt). One of the
 // resulting kernel tables is selected exactly once, at first use, from
 // __builtin_cpu_supports, and every entry point in numerics/matrix.cpp
-// and numerics/banded.cpp calls through it.
+// calls through it.
 //
-// Bit-identity policy. The default tiers (scalar, avx2, fma) are
-// bit-identical to the scalar reference kernels: the kernel source
-// vectorizes across independent *outputs* only, never reassociating any
-// single output's reduction, and the ISA translation units are pinned to
+// Bit-identity policy. Every tier (scalar, avx2, fma) is bit-identical
+// to the scalar reference kernels: the kernel source vectorizes across
+// independent *outputs* only, never reassociating any single output's
+// reduction, and the ISA translation units are pinned to
 // -ffp-contract=off so the compiler cannot contract a rounded multiply
 // + add into a fused multiply-add (an FMA skips the intermediate
-// rounding and changes result bits). The `fma_contract` tier is the
-// explicit opt-out of that default: the same kernels compiled with
-// contraction enabled, never auto-selected, reachable only through
-// CELLSYNC_DISPATCH=fma-contract, and documented as trading bit-identity
-// for fused arithmetic.
+// rounding and changes result bits).
 //
-// Env override (testing and opt-outs):
-//   CELLSYNC_DISPATCH=scalar|avx2|fma|fma-contract
+// Env override (testing):
+//   CELLSYNC_DISPATCH=scalar|avx2|fma
 // A tier the CPU cannot execute is clamped down to the best supported
 // one with a warning on stderr; an unknown value is ignored the same
 // way. With CELLSYNC_SIMD=OFF only the scalar table exists and the
@@ -37,19 +33,14 @@ namespace cellsync::simd {
 /// Kernel tiers in ascending ISA order. Values are stable (they are
 /// exported as the `simd.dispatch_tier` telemetry gauge).
 enum class Tier {
-    scalar = 0,        ///< baseline build, no ISA flags
-    avx2 = 1,          ///< -mavx2, contraction off (bit-identical)
-    fma = 2,           ///< -mavx2 -mfma, contraction off (bit-identical)
-    fma_contract = 3,  ///< -mavx2 -mfma, contraction on (NOT bit-identical)
+    scalar = 0,  ///< baseline build, no ISA flags
+    avx2 = 1,    ///< -mavx2, contraction off
+    fma = 2,     ///< -mavx2 -mfma, contraction off
 };
 
 /// One complete set of hot-kernel entry points, all compiled at a single
-/// ISA tier. The dense kernels mirror the chunked shapes of
-/// numerics/matrix.cpp; the span kernels operate on one contiguous
-/// nonzero run and serve both the dense-backed Banded_matrix and the
-/// Packed_banded_matrix layouts (the run is contiguous in memory either
-/// way). Every kernel keeps the per-output accumulation order of the
-/// scalar reference.
+/// ISA tier. The kernels mirror the chunked shapes of numerics/matrix.cpp
+/// and keep the per-output accumulation order of the scalar reference.
 struct Kernel_table {
     Tier tier;
 
@@ -73,24 +64,6 @@ struct Kernel_table {
     /// unweighted Gram. g is n x n, cleared by the caller.
     void (*gram_rows_blocked)(double* g, const double* a, const std::size_t* rows,
                               std::size_t m, std::size_t n, const double* w);
-
-    /// sum_j rv[j] * x[j] over one contiguous run of `width` values.
-    double (*span_dot)(const double* rv, const double* x, std::size_t width);
-
-    /// y[j] += rv[j] * alpha over one contiguous run.
-    void (*span_axpy)(double* y, const double* rv, std::size_t width, double alpha);
-
-    /// Rank-one update of the Gram upper triangle from one row whose
-    /// nonzero run starts at column `begin`: g(begin+i, begin+j) +=
-    /// rv[i] * rv[j] for 0 <= i <= j < width. g is n x n row-major.
-    void (*span_rank_one)(double* g, std::size_t n, const double* rv, std::size_t begin,
-                          std::size_t width);
-
-    /// Weighted rank-one update: g(begin+i, begin+j) +=
-    /// (weight * rv[i]) * rv[j] — the ((w * a) * a) association of the
-    /// reference weighted Gram.
-    void (*span_rank_one_weighted)(double* g, std::size_t n, const double* rv,
-                                   std::size_t begin, std::size_t width, double weight);
 };
 
 /// The active kernel table. Resolved exactly once at first use (CPU
@@ -106,16 +79,11 @@ Tier active_tier();
 /// set_tier_for_testing.
 const char* active_tier_origin();
 
-/// Best tier this build + CPU can execute (never fma_contract — the
-/// opt-out is only ever reached explicitly).
+/// Best tier this build + CPU can execute.
 Tier max_supported_tier();
 
-/// Human-readable tier name ("scalar", "avx2", "fma", "fma-contract").
+/// Human-readable tier name ("scalar", "avx2", "fma").
 const char* tier_name(Tier tier);
-
-/// True for the tiers covered by the bit-identity contract (everything
-/// except fma_contract).
-bool tier_bit_identical(Tier tier);
 
 /// Force a tier in-process (tests iterate every supported tier without
 /// re-exec). Returns false — leaving the active table unchanged — when

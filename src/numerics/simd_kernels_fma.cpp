@@ -2,8 +2,7 @@
 // "-mavx2;-mfma;-ffp-contract=off". FMA hardware is available to the
 // compiler, but multiply + add contraction stays disabled — a fused
 // multiply-add skips the intermediate rounding of the product and would
-// change result bits, and this tier is inside the bit-identity
-// contract. The explicit opt-out lives in simd_kernels_fma_contract.cpp.
+// change result bits.
 #include <cstddef>
 #include <vector>
 

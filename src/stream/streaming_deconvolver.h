@@ -82,10 +82,10 @@ struct Stream_prior {
     Matrix reduced_hessian;   // Z' H0 Z
     Vector reduced_gradient;  // Z' H0 x0
     // Circularly-open scoring grid (see .cpp): its points on the unit
-    // circle, and the basis design on it (packed or banded by occupancy),
-    // so scoring is one mat-vec and no trigonometry.
+    // circle, and the basis design on it, so scoring is one mat-vec and
+    // no trigonometry.
     Phase_circle score_circle;
-    Design_matrix score_design;
+    Matrix score_design;
 };
 
 /// Validate `options` and build the prior every stream over `artifacts`

@@ -156,6 +156,32 @@ TEST(Csv, WriteMatchesStreamFormattingByteForByte) {
     EXPECT_EQ(got.str(), expected.str());
 }
 
+TEST(Csv, WriteRefusesNonFiniteBeforeWritingAByte) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        Table t;
+        t.add_column("time", {0.0, 15.0, 30.0});
+        t.add_column("value", {1.0, 2.0, bad});
+        std::ostringstream out;
+        try {
+            write_csv(out, t);
+            ADD_FAILURE() << "write_csv accepted " << bad;
+        } catch (const std::runtime_error& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("'value'"), std::string::npos) << message;
+            EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+        }
+        EXPECT_TRUE(out.str().empty()) << bad;
+    }
+    // A finite table still round-trips.
+    Table ok;
+    ok.add_column("value", {1.0, -2.5, 3.75e-8});
+    std::ostringstream out;
+    write_csv(out, ok);
+    EXPECT_EQ(read_csv_string(out.str()).column("value")[2], 3.75e-8);
+}
+
 TEST(Csv, FileRoundTrip) {
     Table t;
     t.add_column("x", {1.0, 2.0});

@@ -39,15 +39,12 @@
 // invariants statically, so drift is caught at analysis time rather than
 // by a bit-identity test three layers downstream:
 //   flag-stray-isa no TU outside the dispatch seam's kernel TUs
-//                  (src/numerics/simd_kernels_{avx2,fma,fma_contract}.cpp)
+//                  (src/numerics/simd_kernels_{avx2,fma}.cpp)
 //                  carries -march= / -mavx* / -msse* / -mfma — one stray
 //                  arch flag quietly forks codegen per build host.
 //   flag-kernel-pin when ISA dispatch is compiled in, the avx2/fma TUs
-//                  carry their exact ISA set plus -ffp-contract=off (the
-//                  auto-selectable tiers must stay bit-identical to
-//                  scalar), and the fma_contract TU — the one sanctioned,
-//                  never-auto-selected opt-out — is pinned to contraction
-//                  explicitly rather than inheriting a compiler default.
+//                  carry their exact ISA set plus -ffp-contract=off (every
+//                  tier must stay bit-identical to scalar).
 //   flag-std       every src/ TU compiles at one -std level; a mixed
 //                  tree means "the same header" is two different programs.
 //
@@ -792,9 +789,7 @@ std::vector<Finding> flags_pass(const std::vector<Compile_entry>& entries) {
     std::vector<Finding> findings;
     const std::string kernel_prefix = "src/numerics/simd_kernels_";
     const auto is_kernel_tu = [&](const std::string& file) {
-        return file == kernel_prefix + "avx2.cpp" ||
-               file == kernel_prefix + "fma.cpp" ||
-               file == kernel_prefix + "fma_contract.cpp";
+        return file == kernel_prefix + "avx2.cpp" || file == kernel_prefix + "fma.cpp";
     };
 
     // flag-stray-isa: arch flags only on the dispatch seam's kernel TUs.
@@ -806,7 +801,7 @@ std::vector<Finding> flags_pass(const std::vector<Compile_entry>& entries) {
                     {entry.file, 0, "flag-stray-isa",
                      "TU outside the dispatch seam carries '" + arg +
                          "' — ISA flags belong only on "
-                         "src/numerics/simd_kernels_{avx2,fma,fma_contract}.cpp "
+                         "src/numerics/simd_kernels_{avx2,fma}.cpp "
                          "(runtime dispatch keeps the fleet baseline safe)"});
             }
         }
@@ -814,11 +809,10 @@ std::vector<Finding> flags_pass(const std::vector<Compile_entry>& entries) {
 
     // flag-kernel-pin: when dispatch is compiled in, each kernel TU carries
     // its exact pin set.
-    const Compile_entry* kernels[3] = {nullptr, nullptr, nullptr};
+    const Compile_entry* kernels[2] = {nullptr, nullptr};
     for (const Compile_entry& entry : entries) {
         if (entry.file == kernel_prefix + "avx2.cpp") kernels[0] = &entry;
         if (entry.file == kernel_prefix + "fma.cpp") kernels[1] = &entry;
-        if (entry.file == kernel_prefix + "fma_contract.cpp") kernels[2] = &entry;
     }
     bool dispatch_enabled = false;
     for (const Compile_entry* kernel : kernels) {
@@ -836,10 +830,6 @@ std::vector<Finding> flags_pass(const std::vector<Compile_entry>& entries) {
         const Pin pins[] = {
             {0, "avx2", {"-mavx2", "-ffp-contract=off"}},
             {1, "fma", {"-mavx2", "-mfma", "-ffp-contract=off"}},
-            // The sanctioned opt-out tier must pin contraction explicitly:
-            // inheriting a compiler default would make "what fma-contract
-            // means" depend on the toolchain.
-            {2, "fma_contract", {"-mavx2", "-mfma", "-ffp-contract=fast"}},  // cellsync-lint: allow(fast-math)
         };
         for (const Pin& pin : pins) {
             const Compile_entry* kernel = kernels[pin.index];
@@ -851,7 +841,7 @@ std::vector<Finding> flags_pass(const std::vector<Compile_entry>& entries) {
                          "ISA dispatch is compiled in but the " +
                              std::string(pin.name) + " kernel TU is missing '" +
                              flag +
-                             "' — every auto-selectable tier must stay "
+                             "' — every tier must stay "
                              "bit-identical to scalar (-ffp-contract=off), and "
                              "each TU must carry its exact ISA set"});
                 }
@@ -1176,10 +1166,7 @@ int self_test() {
               "-std=gnu++20 -mavx2 -ffp-contract=off") +
         "," +
         entry("src/numerics/simd_kernels_fma.cpp",
-              "-std=gnu++20 -mavx2 -mfma -ffp-contract=off") +
-        "," +
-        entry("src/numerics/simd_kernels_fma_contract.cpp",
-              "-std=gnu++20 -mavx2 -mfma -ffp-contract=fast");  // cellsync-lint: allow(fast-math)
+              "-std=gnu++20 -mavx2 -mfma -ffp-contract=off");
     const std::string plain = entry("src/core/batch.cpp", "-std=gnu++20");
 
     const auto run_flags = [&](const std::string& json) {

@@ -93,7 +93,6 @@
 //   --bootstrap N       confidence band (single-series run only)
 //   --threads N         worker threads              (default: hardware)
 //   --times LO:HI:N | --times-from data.csv   time grid (kernel, stream)
-//   --qp-backend NAME   automatic | active_set
 //   --json PATH         machine-readable report output (report, kernel cache)
 //   --trace PATH        Chrome-trace JSON of the command's spans (run,
 //                       stream, merge-results); load in Perfetto or
@@ -101,7 +100,7 @@
 //   --metrics-json PATH metrics snapshot (counters/gauges/histograms)
 //                       written at command exit (run, stream, merge-results)
 //   --verbose           run: one-line numerics diagnostic (SIMD dispatch
-//                       tier and origin, kernel design layout/occupancy)
+//                       tier and origin)
 //   --stop-when-converged / --coef-tol X / --score-tol X
 //   --stable-updates N / --min-observed N     streaming convergence
 #include <cstdio>
@@ -168,7 +167,6 @@ struct Cli_options {
     std::size_t bootstrap = 0;
     std::uint64_t seed = 20110605;
     std::size_t threads = 0;
-    Qp_backend backend = Qp_backend::automatic;
     std::string json_path;                ///< report / kernel cache --json destination
     std::string trace_path;               ///< --trace Chrome-trace destination
     std::string metrics_json_path;        ///< --metrics-json snapshot destination
@@ -256,7 +254,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             else if (arg == "--bootstrap") options.bootstrap = parse_strict_uint64(next_value(i));
             else if (arg == "--seed") options.seed = parse_strict_uint64(next_value(i));
             else if (arg == "--threads") options.threads = parse_strict_uint64(next_value(i));
-            else if (arg == "--qp-backend") options.backend = qp_backend_from_string(next_value(i));
             else if (arg == "--json") options.json_path = next_value(i);
             else if (arg == "--trace") options.trace_path = next_value(i);
             else if (arg == "--metrics-json") options.metrics_json_path = next_value(i);
@@ -280,14 +277,6 @@ Cli_options parse_args(int argc, char** argv, int first) {
             // message naming the offending text.
             usage_error(std::string(e.what()) + " (option " + arg + ")");
         }
-    }
-    if (options.backend == Qp_backend::nnls) {
-        // Fail before any simulation work: the deconvolution QP always has
-        // a spline-grid positivity block (and usually equality rows), so
-        // the coefficient-positivity NNLS fast path can never apply here.
-        usage_error(
-            "--qp-backend nnls does not apply to the deconvolution QP (it needs a "
-            "coefficient-positivity problem); use automatic or active_set");
     }
     return options;
 }
@@ -473,19 +462,10 @@ Kernel_format format_for_output(const Cli_options& cli, const std::string& path)
 // ---------------------------------------------------------------------------
 
 // --verbose: one-line numerics diagnostic — which kernel table the
-// runtime dispatch resolved (and why), plus, when a kernel design
-// exists, which storage layout the occupancy threshold chose for it.
-void print_numerics_verbose(const Design_matrix* kernel_design) {
-    std::printf("numerics: simd dispatch %s (%s)",
-                simd::tier_name(simd::active_tier()), simd::active_tier_origin());
-    if (kernel_design != nullptr && !kernel_design->empty()) {
-        std::printf(", kernel design %s (occupancy %.3f vs threshold %.2f, "
-                    "bandwidth %zu/%zu)",
-                    kernel_design->is_packed() ? "packed" : "banded",
-                    kernel_design->band_occupancy(), packed_occupancy_threshold,
-                    kernel_design->max_bandwidth(), kernel_design->cols());
-    }
-    std::printf("\n");
+// runtime dispatch resolved, and why.
+void print_numerics_verbose() {
+    std::printf("numerics: simd dispatch %s (%s)\n", simd::tier_name(simd::active_tier()),
+                simd::active_tier_origin());
 }
 
 int run_single(const Cli_options& cli) {
@@ -524,7 +504,6 @@ int run_single(const Cli_options& cli) {
     // sweep and the bootstrap replicates.
     Deconvolution_options options;
     options.constraints = constraints_from(cli);
-    options.backend = cli.backend;
 
     Batch_engine_options engine_options;
     engine_options.threads = cli.threads;
@@ -532,9 +511,8 @@ int run_single(const Cli_options& cli) {
     const Batch_engine engine(std::make_shared<Natural_spline_basis>(cli.basis), *kernel,
                               config, engine_options);
     const Deconvolver& deconvolver = engine.deconvolver();
-    std::printf("engine: %zu worker threads, %s backend\n", engine.thread_count(),
-                to_string(cli.backend));
-    if (cli.verbose) print_numerics_verbose(&deconvolver.kernel_design());
+    std::printf("engine: %zu worker threads\n", engine.thread_count());
+    if (cli.verbose) print_numerics_verbose();
 
     if (cli.lambda.has_value()) {
         options.lambda = *cli.lambda;
@@ -583,7 +561,6 @@ int run_experiment_mode(const Cli_options& cli) {
                                    : Experiment_schedule::pipelined;
     spec.warm_start_lambda = cli.warm_start;
     spec.batch.deconvolution.constraints = constraints_from(cli);
-    spec.batch.deconvolution.backend = cli.backend;
     spec.batch.lambda_grid = default_lambda_grid(15, 1e-7, 1e1);
     if (cli.lambda.has_value()) {
         spec.batch.select_lambda = false;
@@ -605,11 +582,7 @@ int run_experiment_mode(const Cli_options& cli) {
         spec.conditions.push_back(std::move(condition));
     }
 
-    if (cli.verbose) {
-        // The per-condition kernel designs are built inside the runner;
-        // the dispatch half of the diagnostic is decided already.
-        print_numerics_verbose(nullptr);
-    }
+    if (cli.verbose) print_numerics_verbose();
 
     // Shard-tag the metrics stream even for the 1-shard case, so merged
     // dashboards always know which process a snapshot came from.
@@ -662,7 +635,7 @@ int run_experiment_mode(const Cli_options& cli) {
         // Every estimate of a condition shares its design's basis: the
         // grid design is built once and each profile is one mat-vec,
         // bit-identical to estimate.sample(grid).
-        std::optional<Design_matrix> grid_design;
+        std::optional<Matrix> grid_design;
         auto scores = condition.synchrony.begin();
         for (const Batch_entry& gene : condition.genes) {
             if (!gene.estimate.has_value()) {
@@ -670,7 +643,7 @@ int run_experiment_mode(const Cli_options& cli) {
                 std::printf("  %-16s FAILED: %s\n", gene.label.c_str(), gene.error.c_str());
                 continue;
             }
-            if (!grid_design) grid_design = gene.estimate->basis().design_matrix_auto(grid);
+            if (!grid_design) grid_design = gene.estimate->basis().design_matrix(grid);
             writer.add(gene.label, *grid_design * gene.estimate->coefficients());
             lambdas.emplace_back(gene.label, gene.lambda);
             if (scores != condition.synchrony.end() && scores->label == gene.label) {
@@ -747,10 +720,6 @@ int cmd_stream(const Cli_options& cli) {
         // past a user-supplied kernel file would mislead.
         usage_error("--kernel/--save-kernel apply to single-series runs only; "
                     "use --cache-dir for streaming");
-    }
-    if (cli.backend != Qp_backend::automatic) {
-        usage_error("--qp-backend does not apply to stream (the streaming engine always "
-                    "solves through the Goldfarb-Idnani dual path)");
     }
     if (!cli.warm_start) {
         usage_error("--no-warm-start applies to run only (its lambda grid warm start); "
@@ -843,7 +812,7 @@ int cmd_stream(const Cli_options& cli) {
     std::vector<std::pair<std::string, double>> lambdas;
     // The session's streams share one design basis: one grid design, one
     // mat-vec per profile (bit-identical to current().sample(grid)).
-    std::optional<Design_matrix> grid_design;
+    std::optional<Matrix> grid_design;
     std::printf("  %-16s %-9s %-10s %-8s %-10s\n", "gene", "observed", "converged",
                 "order", "lambda");
     for (const std::string& label : session.labels()) {
@@ -854,7 +823,7 @@ int cmd_stream(const Cli_options& cli) {
                     stream.order_parameter(), stream.options().lambda);
         if (failed_genes.count(label) != 0) continue;
         const Single_cell_estimate& estimate = stream.current();
-        if (!grid_design) grid_design = estimate.basis().design_matrix_auto(grid);
+        if (!grid_design) grid_design = estimate.basis().design_matrix(grid);
         writer.add(label, *grid_design * estimate.coefficients());
         lambdas.emplace_back(label, stream.options().lambda);
     }

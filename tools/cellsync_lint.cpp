@@ -258,7 +258,7 @@ bool outside_clock_seam(const std::string& relative) {
 
 bool outside_simd_dispatch_home(const std::string& relative) {
     // The dispatcher and the per-ISA kernel translation units
-    // (simd_kernels_scalar/avx2/fma/fma_contract.cpp and the shared
+    // (simd_kernels_scalar/avx2/fma.cpp and the shared
     // simd_kernels.inc) are where ISA-specific spellings belong.
     return relative != "src/numerics/simd_dispatch.cpp" &&
            relative.rfind("src/numerics/simd_kernels", 0) != 0;

@@ -13,8 +13,8 @@
 // The chunked kernels vectorize only across *outputs*; the accumulation
 // order of the terms feeding any single output element is never changed,
 // so the chunked and reference paths produce bit-identical results —
-// asserted by tests/dense_kernels_test.cpp and the CI leg that rebuilds
-// everything with CELLSYNC_SIMD=0.
+// asserted by tests/packed_banded_test.cpp, tests/banded_matrix_test.cpp
+// and the CI leg that rebuilds everything with CELLSYNC_SIMD=0.
 //
 // CELLSYNC_SIMD is normally set by the CMake option of the same name
 // (default ON). Building with -DCELLSYNC_SIMD=OFF compiles the dispatching

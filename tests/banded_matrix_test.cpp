@@ -1,238 +1,82 @@
-#include "numerics/banded.h"
-
+// The row-subset kernels of the per-gene normal equations
+// (weighted_gram_rows, weighted_transposed_times_rows), which took over
+// from the banded layout's row-span kernels when every design became a
+// dense Matrix. The contract under test: each returns bit-for-bit the
+// scalar reference on the copied-out row subset, whichever of the
+// scalar/avx2/fma tables is active, and rejects mismatched shapes.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "dense_kernel_checks.h"
+#include "numerics/matrix.h"
 #include "numerics/rng.h"
-#include "spline/bspline.h"
-#include "spline/spline_basis.h"
 
 namespace cellsync {
 namespace {
 
-// Bitwise equality: the banded kernels promise bit-identity with the dense
-// reference, not just closeness, so the tests compare representations.
-void expect_bits(double a, double b) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-        << a << " vs " << b;
-}
+using test::expect_bits;
+using test::for_each_tier;
+using test::random_matrix;
+using test::random_vector;
+using test::random_weights;
 
-void expect_bits(const Vector& a, const Vector& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) expect_bits(a[i], b[i]);
-}
+TEST(DenseKernels, RowSubsetKernelsMatchCopyOutReferenceUnderEveryTier) {
+    for_each_tier([] {
+        Rng rng(99);
+        for (int trial = 0; trial < 25; ++trial) {
+            const std::size_t m = 1 + rng.index(24);
+            const std::size_t n = 1 + rng.index(16);
+            const Matrix a = random_matrix(rng, m, n);
+            std::vector<std::size_t> rows(1 + rng.index(m));
+            for (std::size_t& r : rows) r = rng.index(m);  // duplicates allowed
+            const Vector w = random_weights(rng, rows.size());
+            const Vector x = random_vector(rng, rows.size());
 
-void expect_bits(const Matrix& a, const Matrix& b) {
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t j = 0; j < a.cols(); ++j) expect_bits(a(i, j), b(i, j));
-    }
-}
-
-// A random matrix whose row i is nonzero exactly on a random contiguous
-// span (possibly empty, single-column, or full-width).
-Matrix random_banded(Rng& rng, std::size_t rows, std::size_t cols) {
-    Matrix m(rows, cols, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t kind = rng.index(8);
-        std::size_t begin = 0, end = 0;
-        if (kind == 0) {
-            // empty row
-        } else if (kind == 1) {
-            begin = rng.index(cols);
-            end = begin + 1;  // single column
-        } else if (kind == 2) {
-            end = cols;  // full width
-        } else {
-            begin = rng.index(cols);
-            end = begin + 1 + rng.index(cols - begin);
+            Matrix sub(rows.size(), n);
+            for (std::size_t r = 0; r < rows.size(); ++r) sub.set_row(r, a.row(rows[r]));
+            expect_bits(weighted_gram_rows(a, rows, w), weighted_gram_reference(sub, w));
+            expect_bits(weighted_transposed_times_rows(a, rows, w, x),
+                        transposed_times_reference(sub, hadamard(w, x)));
         }
-        for (std::size_t j = begin; j < end; ++j) {
-            double v = rng.uniform(-2.0, 2.0);
-            if (v == 0.0) v = 0.5;  // keep span entries nonzero
-            m(i, j) = v;
-        }
-        // Guarantee nonzero endpoints so the detected span equals [begin, end).
-        if (end > begin) {
-            if (m(i, begin) == 0.0) m(i, begin) = 1.0;
-            if (m(i, end - 1) == 0.0) m(i, end - 1) = -1.0;
-        }
-    }
-    return m;
+    });
 }
 
-Vector random_vector(Rng& rng, std::size_t n) {
-    Vector x(n);
-    for (double& v : x) v = rng.uniform(-3.0, 3.0);
-    return x;
+TEST(DenseKernels, DegenerateShapes) {
+    for_each_tier([] {
+        const Matrix empty;
+        EXPECT_EQ(gram(empty).rows(), 0u);
+        EXPECT_EQ(weighted_gram_rows(empty, {}, Vector{}).rows(), 0u);
+
+        // An empty row subset contributes nothing: exact zeros.
+        const Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
+        expect_bits(weighted_gram_rows(a, {}, Vector{}), Matrix(3, 3, 0.0));
+        expect_bits(weighted_transposed_times_rows(a, {}, Vector{}, Vector{}),
+                    Vector(3, 0.0));
+
+        // All-zero and single-column matrices.
+        const Matrix zero(3, 4, 0.0);
+        expect_bits(zero * Vector{1.0, 2.0, 3.0, 4.0}, Vector(3, 0.0));
+        expect_bits(gram(zero), Matrix(4, 4, 0.0));
+        const Matrix col{{2.0}, {0.0}, {-3.0}};
+        expect_bits(col * Vector{1.5}, matvec_reference(col, Vector{1.5}));
+        expect_bits(gram(col), gram_reference(col));
+        expect_bits(weighted_gram_rows(col, {2, 0}, Vector{0.5, 2.0}),
+                    weighted_gram_reference(Matrix{{-3.0}, {2.0}}, Vector{0.5, 2.0}));
+    });
 }
 
-TEST(BandedMatrix, SpanDetection) {
-    const Matrix m{{0.0, 0.0, 0.0, 0.0},   // all-zero
-                   {1.0, 2.0, 3.0, 4.0},   // full width
-                   {0.0, 0.0, 5.0, 0.0},   // single column
-                   {0.0, 1.0, 2.0, 0.0},   // interior band
-                   {0.0, 1.0, 0.0, 2.0}};  // interior zero stays inside
-    const Banded_matrix b(m);
-    EXPECT_TRUE(b.row_span(0).empty());
-    EXPECT_EQ(b.row_span(0).begin, 0u);
-    EXPECT_EQ(b.row_span(0).end, 0u);
-    EXPECT_EQ(b.row_span(1).begin, 0u);
-    EXPECT_EQ(b.row_span(1).end, 4u);
-    EXPECT_EQ(b.row_span(2).begin, 2u);
-    EXPECT_EQ(b.row_span(2).end, 3u);
-    EXPECT_EQ(b.row_span(3).begin, 1u);
-    EXPECT_EQ(b.row_span(3).end, 3u);
-    EXPECT_EQ(b.row_span(4).begin, 1u);
-    EXPECT_EQ(b.row_span(4).end, 4u);
-    EXPECT_EQ(b.max_bandwidth(), 4u);
-    EXPECT_DOUBLE_EQ(b.band_occupancy(), (0.0 + 4.0 + 1.0 + 2.0 + 3.0) / 20.0);
-}
-
-TEST(BandedMatrix, NonFiniteEntriesCountAsNonzero) {
-    Matrix m(2, 3, 0.0);
-    m(0, 1) = std::numeric_limits<double>::quiet_NaN();
-    m(1, 2) = std::numeric_limits<double>::infinity();
-    const Banded_matrix b(m);
-    EXPECT_EQ(b.row_span(0).begin, 1u);
-    EXPECT_EQ(b.row_span(0).end, 2u);
-    EXPECT_EQ(b.row_span(1).begin, 2u);
-    EXPECT_EQ(b.row_span(1).end, 3u);
-
-    // Inside the band, non-finite values propagate through the products.
-    const Vector y = b * Vector{1.0, 1.0, 1.0};
-    EXPECT_TRUE(std::isnan(y[0]));
-    EXPECT_TRUE(std::isinf(y[1]));
-    const Matrix g = gram(b);
-    EXPECT_TRUE(std::isnan(g(1, 1)));
-}
-
-TEST(BandedMatrix, ProductsMatchDenseReferenceBitwise) {
-    Rng rng(20260807);
-    for (int trial = 0; trial < 25; ++trial) {
-        const std::size_t rows = 1 + rng.index(24);
-        const std::size_t cols = 1 + rng.index(16);
-        const Matrix dense = random_banded(rng, rows, cols);
-        const Banded_matrix banded(dense);
-
-        const Vector x = random_vector(rng, cols);
-        expect_bits(banded * x, matvec_reference(dense, x));
-
-        const Vector z = random_vector(rng, rows);
-        expect_bits(transposed_times(banded, z), transposed_times_reference(dense, z));
-
-        expect_bits(gram(banded), gram_reference(dense));
-
-        Vector w = random_vector(rng, rows);
-        for (double& v : w) v = 0.1 + std::abs(v);
-        expect_bits(weighted_gram(banded, w), weighted_gram_reference(dense, w));
-    }
-}
-
-TEST(BandedMatrix, DegenerateShapes) {
-    // All-zero matrix: every product is exactly zero.
-    const Banded_matrix zero(Matrix(3, 4, 0.0));
-    EXPECT_DOUBLE_EQ(zero.band_occupancy(), 0.0);
-    EXPECT_EQ(zero.max_bandwidth(), 0u);
-    expect_bits(zero * Vector{1.0, 2.0, 3.0, 4.0}, Vector(3, 0.0));
-    expect_bits(gram(zero), Matrix(4, 4, 0.0));
-
-    // Empty matrix.
-    const Banded_matrix empty{Matrix()};
-    EXPECT_TRUE(empty.empty());
-    EXPECT_DOUBLE_EQ(empty.band_occupancy(), 1.0);
-    EXPECT_EQ(gram(empty).rows(), 0u);
-
-    // Fully dense matrix: occupancy 1, still bit-identical.
-    Rng rng(7);
-    Matrix dense(5, 3);
-    for (std::size_t i = 0; i < 5; ++i) {
-        for (std::size_t j = 0; j < 3; ++j) dense(i, j) = rng.uniform(0.5, 2.0);
-    }
-    const Banded_matrix full(dense);
-    EXPECT_DOUBLE_EQ(full.band_occupancy(), 1.0);
-    expect_bits(gram(full), gram_reference(dense));
-}
-
-TEST(BandedMatrix, RowSubsetKernelsMatchCopyOutReference) {
-    Rng rng(99);
-    const Matrix dense = random_banded(rng, 12, 7);
-    const Banded_matrix banded(dense);
-    const std::vector<std::size_t> rows{1, 3, 3, 8, 11};
-    Vector w(rows.size());
-    for (double& v : w) v = rng.uniform(0.5, 2.0);
-    const Vector x = random_vector(rng, rows.size());
-
-    // Reference: copy the rows into a submatrix and run the dense kernels.
-    Matrix sub(rows.size(), dense.cols());
-    for (std::size_t r = 0; r < rows.size(); ++r) sub.set_row(r, dense.row(rows[r]));
-    expect_bits(weighted_gram_rows(banded, rows, w), weighted_gram_reference(sub, w));
-    expect_bits(transposed_times_rows(banded, rows, x), transposed_times_reference(sub, x));
-}
-
-TEST(BandedMatrix, TransposedTimesSpanMatchesFullProduct) {
-    Rng rng(42);
-    const Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}, {7.0, 8.0}};
-    // x structurally zero outside [1, 3): the clipped product must match
-    // the full one bitwise.
-    const Vector x{0.0, 1.5, -2.5, 0.0};
-    expect_bits(transposed_times_span(a, x, Row_span{1, 3}),
-                transposed_times_reference(a, x));
-    // Full span is always safe.
-    const Vector y = random_vector(rng, 4);
-    expect_bits(transposed_times_span(a, y, Row_span{0, 4}),
-                transposed_times_reference(a, y));
-}
-
-TEST(BandedMatrix, RowDotMatchesDenseDot) {
-    Rng rng(5);
-    const Matrix dense = random_banded(rng, 6, 5);
-    const Banded_matrix banded(dense);
-    const Vector x = random_vector(rng, 5);
-    for (std::size_t i = 0; i < 6; ++i) {
-        double ref = 0.0;
-        for (std::size_t j = 0; j < 5; ++j) ref += dense(i, j) * x[j];
-        expect_bits(row_dot(banded, i, x), ref);
-    }
-}
-
-TEST(BandedMatrix, BsplineDesignIsBandedNaturalSplineIsNot) {
-    const Vector grid = linspace(0.0, 1.0, 40);
-
-    const Bspline_basis bspline(12);
-    const Banded_matrix bdesign = bspline.design_matrix_banded(grid);
-    EXPECT_LE(bdesign.max_bandwidth(), 4u);  // cubic: at most 4 supported functions
-    EXPECT_LT(bdesign.band_occupancy(), 0.5);
-    // The banded design wraps exactly the dense design.
-    expect_bits(bdesign.dense(), bspline.design_matrix(grid));
-
-    const Natural_spline_basis natural(12);
-    const Banded_matrix ndesign = natural.design_matrix_banded(grid);
-    EXPECT_GT(ndesign.band_occupancy(), 0.9);  // global support: nearly full
-    expect_bits(ndesign.dense(), natural.design_matrix(grid));
-}
-
-TEST(BandedMatrix, DimensionChecksThrow) {
-    const Banded_matrix b{Matrix(3, 2, 1.0)};
-    EXPECT_THROW(b * Vector{1.0}, std::invalid_argument);
-    EXPECT_THROW(transposed_times(b, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_gram(b, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_gram_rows(b, {0}, Vector{1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_gram_rows(b, {7}, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(transposed_times_rows(b, {0}, Vector{1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(transposed_times_rows(b, {9}, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(row_dot(b, 3, Vector{1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(row_dot(b, 0, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(transposed_times_span(Matrix(3, 2, 1.0), Vector{1.0, 2.0, 3.0},
-                                       Row_span{2, 5}),
+TEST(DenseKernels, DimensionChecksThrow) {
+    const Matrix a(3, 2, 1.0);
+    EXPECT_THROW(a * Vector{1.0}, std::invalid_argument);
+    EXPECT_THROW(transposed_times(a, Vector{1.0}), std::invalid_argument);
+    EXPECT_THROW(weighted_gram(a, Vector{1.0}), std::invalid_argument);
+    EXPECT_THROW(weighted_gram_rows(a, {0}, Vector{1.0, 2.0}), std::invalid_argument);
+    EXPECT_THROW(weighted_gram_rows(a, {7}, Vector{1.0}), std::invalid_argument);
+    EXPECT_THROW(weighted_transposed_times_rows(a, {0}, Vector{1.0, 2.0}, Vector{1.0}),
                  std::invalid_argument);
-    EXPECT_THROW(transposed_times_span(Matrix(3, 2, 1.0), Vector{1.0}, Row_span{0, 1}),
+    EXPECT_THROW(weighted_transposed_times_rows(a, {9}, Vector{1.0}, Vector{1.0}),
                  std::invalid_argument);
 }
 

@@ -1,434 +1,78 @@
-// Packed banded storage and the runtime ISA dispatch seam.
+// The chunked dense product kernels and the runtime ISA dispatch seam
+// they run through; the packed band layout these checks used to cover
+// is gone, and every design is a dense Matrix.
 //
-// The contract under test is the PR 6 bit-identity guarantee extended to
-// the packed layout and to every auto-selectable dispatch tier: for any
-// matrix whose rows are nonzero on contiguous spans, every product
-// kernel returns bit-for-bit the dense reference result, whether the
-// matrix is stored dense-backed (Banded_matrix) or packed
-// (Packed_banded_matrix), and whichever of the scalar/avx2/fma tables is
-// active. The fma_contract tier is the documented opt-out and is only
-// checked for closeness, never identity.
-//
-// Tier coverage works two ways: in-process, every test in the
-// TierSweep suite iterates simd::set_tier_for_testing over the tiers the
-// build + CPU support; externally, tests/CMakeLists.txt registers extra
-// runs of this binary with CELLSYNC_DISPATCH forced, exercising the env
-// override path end to end.
-#include "numerics/banded.h"
-
+// The contract under test: every chunked kernel in numerics/matrix.cpp
+// returns bit-for-bit the scalar reference result whichever of the
+// scalar/avx2/fma tables is active, non-finite values propagate (no
+// value-based zero skip), and the tier metadata is consistent.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <limits>
-#include <stdexcept>
-#include <vector>
 
+#include "dense_kernel_checks.h"
+#include "numerics/matrix.h"
 #include "numerics/rng.h"
 #include "numerics/simd_dispatch.h"
-#include "spline/bspline.h"
-#include "spline/spline_basis.h"
 
 namespace cellsync {
 namespace {
 
-void expect_bits(double a, double b) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-        << a << " vs " << b;
-}
+using test::expect_bits;
+using test::for_each_tier;
+using test::random_matrix;
+using test::random_vector;
+using test::random_weights;
 
-void expect_bits(const Vector& a, const Vector& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) expect_bits(a[i], b[i]);
-}
-
-void expect_bits(const Matrix& a, const Matrix& b) {
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t j = 0; j < a.cols(); ++j) expect_bits(a(i, j), b(i, j));
-    }
-}
-
-// Random banded matrix mixing the degenerate row shapes: all-zero rows,
-// single-column rows, full-width rows, and random interior bands.
-Matrix random_banded(Rng& rng, std::size_t rows, std::size_t cols) {
-    Matrix m(rows, cols, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t kind = rng.index(8);
-        std::size_t begin = 0, end = 0;
-        if (kind == 0) {
-            // empty row
-        } else if (kind == 1) {
-            begin = rng.index(cols);
-            end = begin + 1;  // single column
-        } else if (kind == 2) {
-            end = cols;  // full width
-        } else {
-            begin = rng.index(cols);
-            end = begin + 1 + rng.index(cols - begin);
-        }
-        for (std::size_t j = begin; j < end; ++j) {
-            double v = rng.uniform(-2.0, 2.0);
-            if (v == 0.0) v = 0.5;
-            m(i, j) = v;
-        }
-        if (end > begin) {
-            if (m(i, begin) == 0.0) m(i, begin) = 1.0;
-            if (m(i, end - 1) == 0.0) m(i, end - 1) = -1.0;
-        }
-    }
-    return m;
-}
-
-Vector random_vector(Rng& rng, std::size_t n) {
-    Vector x(n);
-    for (double& v : x) v = rng.uniform(-3.0, 3.0);
-    return x;
-}
-
-std::vector<std::size_t> random_rows(Rng& rng, std::size_t m, std::size_t count) {
-    std::vector<std::size_t> rows(count);
-    for (std::size_t& r : rows) r = rng.index(m);  // duplicates allowed
-    return rows;
-}
-
-// The tiers this build + CPU can actually execute (always at least
-// scalar; the auto-selectable set the bit-identity contract covers).
-std::vector<simd::Tier> supported_tiers() {
-    std::vector<simd::Tier> tiers{simd::Tier::scalar};
-    for (simd::Tier t : {simd::Tier::avx2, simd::Tier::fma}) {
-        if (t <= simd::max_supported_tier()) tiers.push_back(t);
-    }
-    return tiers;
-}
-
-// RAII tier forcing so a failed ASSERT cannot leak a forced tier into
-// the next test.
-class Forced_tier {
-  public:
-    explicit Forced_tier(simd::Tier t) : ok_(simd::set_tier_for_testing(t)) {}
-    ~Forced_tier() { simd::set_tier_for_testing(simd::max_supported_tier()); }
-    bool ok() const { return ok_; }
-
-  private:
-    bool ok_;
-};
-
-// Runs `body` once per supported tier with that tier forced.
-template <typename Body>
-void for_each_tier(const Body& body) {
-    for (simd::Tier tier : supported_tiers()) {
-        Forced_tier forced(tier);
-        ASSERT_TRUE(forced.ok()) << simd::tier_name(tier);
-        SCOPED_TRACE(simd::tier_name(tier));
-        body();
-    }
-}
-
-TEST(PackedBanded, PackingRoundTripsAndDropsOnlyStructuralZeros) {
-    Rng rng(11);
-    for (int trial = 0; trial < 10; ++trial) {
-        const Matrix dense = random_banded(rng, 1 + rng.index(20), 1 + rng.index(12));
-        const Banded_matrix banded(dense);
-        const Packed_banded_matrix packed(banded);
-        ASSERT_EQ(packed.rows(), banded.rows());
-        ASSERT_EQ(packed.cols(), banded.cols());
-        // Identical spans, identical in-span values, reconstructible dense.
-        for (std::size_t i = 0; i < packed.rows(); ++i) {
-            ASSERT_EQ(packed.row_span(i).begin, banded.row_span(i).begin);
-            ASSERT_EQ(packed.row_span(i).end, banded.row_span(i).end);
-            const double* rv = packed.row_values(i);
-            for (std::size_t k = 0; k < packed.row_span(i).width(); ++k) {
-                expect_bits(rv[k], dense(i, packed.row_span(i).begin + k));
-            }
-        }
-        expect_bits(packed.to_dense(), dense);
-        EXPECT_DOUBLE_EQ(packed.band_occupancy(), banded.band_occupancy());
-        EXPECT_EQ(packed.max_bandwidth(), banded.max_bandwidth());
-        // Footprint really is the packed one.
-        std::size_t inside = 0;
-        for (const Row_span& s : packed.spans()) inside += s.width();
-        EXPECT_EQ(packed.values().size(), inside);
-    }
-}
-
-TEST(PackedBanded, DirectEmissionValidatesShape) {
-    // Consistent direct emission.
-    const Packed_banded_matrix p(3, {{0, 2}, {1, 3}}, {1.0, 2.0, 3.0, 4.0});
-    EXPECT_EQ(p.rows(), 2u);
-    EXPECT_EQ(p.cols(), 3u);
-    expect_bits(p.to_dense(), Matrix{{1.0, 2.0, 0.0}, {0.0, 3.0, 4.0}});
-
-    // Value count must equal the span widths.
-    EXPECT_THROW(Packed_banded_matrix(3, {{0, 2}}, {1.0}), std::invalid_argument);
-    // Spans must fit the column count and be well-formed.
-    EXPECT_THROW(Packed_banded_matrix(3, {{2, 5}}, {1.0, 2.0, 3.0}),
-                 std::invalid_argument);
-    EXPECT_THROW(Packed_banded_matrix(3, {{2, 1}}, {}), std::invalid_argument);
-}
-
-TEST(PackedBanded, EveryKernelMatchesDenseReferenceBitwiseUnderEveryTier) {
+TEST(DenseKernels, ChunkedKernelsMatchReferenceBitwiseUnderEveryTier) {
     for_each_tier([] {
         Rng rng(20260807);
         for (int trial = 0; trial < 25; ++trial) {
             const std::size_t m = 1 + rng.index(24);
             const std::size_t n = 1 + rng.index(16);
-            const Matrix dense = random_banded(rng, m, n);
-            const Banded_matrix banded(dense);
-            const Packed_banded_matrix packed(dense);
-
-            const Vector x = random_vector(rng, n);
-            expect_bits(packed * x, matvec_reference(dense, x));
-            expect_bits(packed * x, banded * x);
-
-            const Vector z = random_vector(rng, m);
-            expect_bits(transposed_times(packed, z), transposed_times_reference(dense, z));
-
-            expect_bits(gram(packed), gram_reference(dense));
-
-            Vector w = random_vector(rng, m);
-            for (double& v : w) v = 0.1 + std::abs(v);
-            expect_bits(weighted_gram(packed, w), weighted_gram_reference(dense, w));
-
-            // Row-subset kernels against the copy-out reference.
-            const std::vector<std::size_t> rows = random_rows(rng, m, 1 + rng.index(m));
-            Matrix sub(rows.size(), n);
-            Vector wr(rows.size()), xr(rows.size());
-            for (std::size_t r = 0; r < rows.size(); ++r) {
-                sub.set_row(r, dense.row(rows[r]));
-                wr[r] = 0.1 + std::abs(rng.uniform(-2.0, 2.0));
-                xr[r] = rng.uniform(-3.0, 3.0);
-            }
-            expect_bits(weighted_gram_rows(packed, rows, wr),
-                        weighted_gram_reference(sub, wr));
-            expect_bits(transposed_times_rows(packed, rows, xr),
-                        transposed_times_reference(sub, xr));
-            expect_bits(weighted_transposed_times_rows(packed, rows, wr, xr),
-                        transposed_times_reference(sub, hadamard(wr, xr)));
-
-            for (std::size_t i = 0; i < m; ++i) {
-                double ref = 0.0;
-                for (std::size_t j = 0; j < n; ++j) ref += dense(i, j) * x[j];
-                expect_bits(row_dot(packed, i, x), ref);
-            }
-        }
-    });
-}
-
-TEST(PackedBanded, BandedKernelsStayBitIdenticalUnderEveryTier) {
-    // The dense-backed layout runs through the same dispatch tables; the
-    // PR 6 guarantee must hold on every tier, not just the default one.
-    for_each_tier([] {
-        Rng rng(31);
-        for (int trial = 0; trial < 10; ++trial) {
-            const std::size_t m = 1 + rng.index(24);
-            const std::size_t n = 1 + rng.index(16);
-            const Matrix dense = random_banded(rng, m, n);
-            const Banded_matrix banded(dense);
+            const Matrix a = random_matrix(rng, m, n);
             const Vector x = random_vector(rng, n);
             const Vector z = random_vector(rng, m);
-            Vector w = random_vector(rng, m);
-            for (double& v : w) v = 0.1 + std::abs(v);
-            expect_bits(banded * x, matvec_reference(dense, x));
-            expect_bits(transposed_times(banded, z), transposed_times_reference(dense, z));
-            expect_bits(gram(banded), gram_reference(dense));
-            expect_bits(weighted_gram(banded, w), weighted_gram_reference(dense, w));
+            const Vector w = random_weights(rng, m);
+            expect_bits(a * x, matvec_reference(a, x));
+            expect_bits(transposed_times(a, z), transposed_times_reference(a, z));
+            expect_bits(gram(a), gram_reference(a));
+            expect_bits(weighted_gram(a, w), weighted_gram_reference(a, w));
         }
     });
 }
 
-TEST(PackedBanded, DenseChunkedKernelsStayBitIdenticalUnderEveryTier) {
-    // numerics/matrix.cpp routes the dense chunked kernels through the
-    // same tables (CELLSYNC_SIMD builds); bit-identity to the references
-    // is tier-independent.
+TEST(DenseKernels, NonFinitePropagates) {
     for_each_tier([] {
-        Rng rng(47);
-        Matrix a(17, 9);
-        for (std::size_t i = 0; i < a.rows(); ++i) {
-            for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.uniform(-2.0, 2.0);
-        }
-        const Vector x = random_vector(rng, a.cols());
-        const Vector z = random_vector(rng, a.rows());
-        Vector w = random_vector(rng, a.rows());
-        for (double& v : w) v = 0.1 + std::abs(v);
-        expect_bits(a * x, matvec_reference(a, x));
-        expect_bits(transposed_times(a, z), transposed_times_reference(a, z));
-        expect_bits(gram(a), gram_reference(a));
-        expect_bits(weighted_gram(a, w), weighted_gram_reference(a, w));
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        const double inf = std::numeric_limits<double>::infinity();
+        Matrix a(2, 3, 0.0);
+        a(0, 1) = nan;
+        a(1, 2) = inf;
+        const Vector y = a * Vector{1.0, 1.0, 1.0};
+        EXPECT_TRUE(std::isnan(y[0]));
+        EXPECT_TRUE(std::isinf(y[1]));
+        EXPECT_TRUE(std::isnan(gram(a)(1, 1)));
+        EXPECT_TRUE(std::isnan(weighted_gram_rows(a, {0}, Vector{1.0})(1, 1)));
+        EXPECT_TRUE(std::isinf(weighted_transposed_times_rows(a, {1}, {1.0}, {1.0})[2]));
+
+        // No value-based zero skip: a structural zero times Inf is NaN.
+        const Vector z = a * Vector{inf, 0.0, 0.0};
+        EXPECT_TRUE(std::isnan(z[0]));
+        EXPECT_TRUE(std::isnan(z[1]));
+        EXPECT_TRUE(std::isnan(weighted_transposed_times_rows(a, {1}, {1.0}, {inf})[0]));
     });
-}
-
-TEST(PackedBanded, DegenerateShapes) {
-    for_each_tier([] {
-        // Zero-row matrix.
-        const Packed_banded_matrix none{Matrix()};
-        EXPECT_TRUE(none.empty());
-        EXPECT_DOUBLE_EQ(none.band_occupancy(), 1.0);
-        EXPECT_EQ(gram(none).rows(), 0u);
-
-        // All rows empty: products are exact zeros, storage is empty.
-        const Packed_banded_matrix zero(Matrix(3, 4, 0.0));
-        EXPECT_EQ(zero.values().size(), 0u);
-        EXPECT_EQ(zero.max_bandwidth(), 0u);
-        EXPECT_DOUBLE_EQ(zero.band_occupancy(), 0.0);
-        expect_bits(zero * Vector{1.0, 2.0, 3.0, 4.0}, Vector(3, 0.0));
-        expect_bits(transposed_times(zero, Vector{1.0, 2.0, 3.0}), Vector(4, 0.0));
-        expect_bits(gram(zero), Matrix(4, 4, 0.0));
-
-        // Single-column matrix.
-        const Matrix col{{2.0}, {0.0}, {-3.0}};
-        const Packed_banded_matrix packed_col(col);
-        expect_bits(packed_col * Vector{1.5}, matvec_reference(col, Vector{1.5}));
-        expect_bits(gram(packed_col), gram_reference(col));
-
-        // Fully dense rows: occupancy 1, still bit-identical.
-        Rng rng(7);
-        Matrix dense(5, 3);
-        for (std::size_t i = 0; i < 5; ++i) {
-            for (std::size_t j = 0; j < 3; ++j) dense(i, j) = rng.uniform(0.5, 2.0);
-        }
-        const Packed_banded_matrix full(dense);
-        EXPECT_DOUBLE_EQ(full.band_occupancy(), 1.0);
-        expect_bits(gram(full), gram_reference(dense));
-        expect_bits(full * Vector{1.0, 2.0, 3.0}, matvec_reference(dense, {1.0, 2.0, 3.0}));
-    });
-}
-
-TEST(PackedBanded, NonFinitePropagates) {
-    Matrix m(2, 3, 0.0);
-    m(0, 1) = std::numeric_limits<double>::quiet_NaN();
-    m(1, 2) = std::numeric_limits<double>::infinity();
-    const Packed_banded_matrix packed(m);
-    // Non-finite entries count as nonzero and land inside the packed spans.
-    EXPECT_EQ(packed.row_span(0).begin, 1u);
-    EXPECT_EQ(packed.row_span(0).end, 2u);
-    EXPECT_EQ(packed.row_span(1).begin, 2u);
-    EXPECT_EQ(packed.row_span(1).end, 3u);
-    const Vector y = packed * Vector{1.0, 1.0, 1.0};
-    EXPECT_TRUE(std::isnan(y[0]));
-    EXPECT_TRUE(std::isinf(y[1]));
-    const Matrix g = gram(packed);
-    EXPECT_TRUE(std::isnan(g(1, 1)));
-    EXPECT_TRUE(std::isnan(row_dot(packed, 0, Vector{1.0, 1.0, 1.0})));
-}
-
-TEST(PackedBanded, DimensionChecksThrow) {
-    const Packed_banded_matrix p(Matrix(3, 2, 1.0));
-    EXPECT_THROW(p * Vector{1.0}, std::invalid_argument);
-    EXPECT_THROW(transposed_times(p, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_gram(p, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_gram_rows(p, {0}, Vector{1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_gram_rows(p, {7}, Vector{1.0}), std::invalid_argument);
-    EXPECT_THROW(transposed_times_rows(p, {0}, Vector{1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(weighted_transposed_times_rows(p, {0}, Vector{1.0, 2.0}, Vector{1.0}),
-                 std::invalid_argument);
-    EXPECT_THROW(row_dot(p, 3, Vector{1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(row_dot(p, 0, Vector{1.0}), std::invalid_argument);
-}
-
-TEST(DesignMatrix, OccupancyThresholdPicksTheLayout) {
-    // Sparse: one nonzero per 8-wide row -> occupancy 0.125 <= 0.25.
-    Matrix sparse(8, 8, 0.0);
-    for (std::size_t i = 0; i < 8; ++i) sparse(i, i) = 1.0 + static_cast<double>(i);
-    const Design_matrix packed_choice(sparse);
-    EXPECT_TRUE(packed_choice.is_packed());
-    EXPECT_EQ(packed_choice.layout(), Design_layout::packed);
-    EXPECT_THROW(packed_choice.banded(), std::logic_error);
-    EXPECT_EQ(packed_choice.packed().values().size(), 8u);
-
-    // Dense: everything nonzero -> stays banded (dense-backed).
-    const Design_matrix banded_choice(Matrix(4, 4, 1.0));
-    EXPECT_FALSE(banded_choice.is_packed());
-    EXPECT_THROW(banded_choice.packed(), std::logic_error);
-    expect_bits(banded_choice.banded().dense(), Matrix(4, 4, 1.0));
-
-    // The threshold is a parameter: force-pack the dense one.
-    const Design_matrix forced(Matrix(4, 4, 1.0), 1.0);
-    EXPECT_TRUE(forced.is_packed());
-
-    // Shared accessors agree across layouts.
-    EXPECT_EQ(packed_choice.rows(), 8u);
-    EXPECT_EQ(packed_choice.cols(), 8u);
-    EXPECT_EQ(packed_choice.max_bandwidth(), 1u);
-    EXPECT_DOUBLE_EQ(packed_choice.band_occupancy(), 0.125);
-    EXPECT_EQ(packed_choice.row_span(3).begin, 3u);
-}
-
-TEST(DesignMatrix, KernelsDispatchIdenticallyAcrossLayouts) {
-    for_each_tier([] {
-        Rng rng(77);
-        const Matrix dense = random_banded(rng, 20, 10);
-        // Same matrix through both layouts, regardless of its occupancy.
-        const Design_matrix as_banded(dense, 0.0);   // threshold 0 -> never packs
-        const Design_matrix as_packed(dense, 1.0);   // threshold 1 -> always packs
-        ASSERT_FALSE(as_banded.is_packed());
-        ASSERT_TRUE(as_packed.is_packed());
-
-        const Vector x = random_vector(rng, 10);
-        const Vector z = random_vector(rng, 20);
-        Vector w = random_vector(rng, 20);
-        for (double& v : w) v = 0.1 + std::abs(v);
-        const std::vector<std::size_t> rows{0, 3, 3, 11, 19};
-        Vector wr(rows.size(), 1.25), xr(rows.size(), -0.5);
-
-        expect_bits(as_banded * x, as_packed * x);
-        expect_bits(transposed_times(as_banded, z), transposed_times(as_packed, z));
-        expect_bits(gram(as_banded), gram(as_packed));
-        expect_bits(weighted_gram(as_banded, w), weighted_gram(as_packed, w));
-        expect_bits(weighted_gram_rows(as_banded, rows, wr),
-                    weighted_gram_rows(as_packed, rows, wr));
-        expect_bits(transposed_times_rows(as_banded, rows, xr),
-                    transposed_times_rows(as_packed, rows, xr));
-        expect_bits(weighted_transposed_times_rows(as_banded, rows, wr, xr),
-                    weighted_transposed_times_rows(as_packed, rows, wr, xr));
-        for (std::size_t i = 0; i < 20; ++i) {
-            expect_bits(row_dot(as_banded, i, x), row_dot(as_packed, i, x));
-        }
-        expect_bits(matvec_reference(dense, x), as_packed * x);
-    });
-}
-
-TEST(DesignMatrix, BsplineDesignGoesPackedAndMatchesDense) {
-    // The real workload: a cubic B-spline design on a fine grid has
-    // occupancy ~4/n_basis, well under the threshold.
-    const Vector grid = linspace(0.0, 1.0, 60);
-    const Bspline_basis bspline(24);
-    const Design_matrix design = bspline.design_matrix_auto(grid);
-    EXPECT_TRUE(design.is_packed());
-    EXPECT_LE(design.band_occupancy(), packed_occupancy_threshold);
-    EXPECT_LE(design.max_bandwidth(), 4u);  // cubic: at most 4 supported functions
-    expect_bits(design.packed().to_dense(), bspline.design_matrix(grid));
-    // And the packed emission never materialized a dense matrix; check
-    // it agrees with the annotated-banded construction too.
-    const Banded_matrix banded = bspline.design_matrix_banded(grid);
-    expect_bits(design * Vector(24, 1.0), banded * Vector(24, 1.0));
-
-    // Globally supported basis: occupancy ~1, stays dense-backed.
-    const Natural_spline_basis natural(12);
-    const Design_matrix ndesign = natural.design_matrix_auto(grid);
-    EXPECT_FALSE(ndesign.is_packed());
 }
 
 TEST(SimdDispatch, TierMetadataIsConsistent) {
-    // The startup-resolved tier is one of the auto-selectable,
-    // bit-identical tiers and is executable on this machine.
-    const simd::Tier startup = simd::active_tier();
-    EXPECT_LE(startup, simd::max_supported_tier());
-    EXPECT_TRUE(simd::tier_bit_identical(startup));
+    // The startup-resolved tier is executable on this machine.
+    EXPECT_LE(simd::active_tier(), simd::max_supported_tier());
     EXPECT_NE(simd::active_tier_origin(), nullptr);
 
     EXPECT_STREQ(simd::tier_name(simd::Tier::scalar), "scalar");
     EXPECT_STREQ(simd::tier_name(simd::Tier::avx2), "avx2");
     EXPECT_STREQ(simd::tier_name(simd::Tier::fma), "fma");
-    EXPECT_STREQ(simd::tier_name(simd::Tier::fma_contract), "fma-contract");
-    EXPECT_TRUE(simd::tier_bit_identical(simd::Tier::scalar));
-    EXPECT_TRUE(simd::tier_bit_identical(simd::Tier::avx2));
-    EXPECT_TRUE(simd::tier_bit_identical(simd::Tier::fma));
-    EXPECT_FALSE(simd::tier_bit_identical(simd::Tier::fma_contract));
-    // max_supported_tier never reports the opt-out tier.
-    EXPECT_NE(simd::max_supported_tier(), simd::Tier::fma_contract);
 
     // Forcing a supported tier works and is visible; scalar always is.
     ASSERT_TRUE(simd::set_tier_for_testing(simd::Tier::scalar));
@@ -436,26 +80,6 @@ TEST(SimdDispatch, TierMetadataIsConsistent) {
     EXPECT_STREQ(simd::active_tier_origin(), "test");
     EXPECT_EQ(simd::kernels().tier, simd::Tier::scalar);
     ASSERT_TRUE(simd::set_tier_for_testing(simd::max_supported_tier()));
-}
-
-TEST(SimdDispatch, FmaContractTierIsCloseButOptIn) {
-    if (!simd::set_tier_for_testing(simd::Tier::fma_contract)) {
-        GTEST_SKIP() << "build/CPU has no fma_contract table";
-    }
-    // Contraction may change bits but must stay numerically tight; and
-    // the tier is never what startup resolution picks (asserted above in
-    // TierMetadataIsConsistent via tier_bit_identical(active_tier())).
-    Rng rng(13);
-    const Matrix dense = random_banded(rng, 30, 12);
-    const Packed_banded_matrix packed(dense);
-    const Vector x = random_vector(rng, 12);
-    const Vector got = packed * x;
-    const Vector ref = matvec_reference(dense, x);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_NEAR(got[i], ref[i], 1e-12 * (1.0 + std::abs(ref[i])));
-    }
-    simd::set_tier_for_testing(simd::max_supported_tier());
 }
 
 }  // namespace

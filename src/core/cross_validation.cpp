@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/telemetry.h"
 #include "numerics/kkt_factorization.h"
@@ -86,6 +87,13 @@ Kfold_plan::Kfold_plan(const Deconvolver& deconvolver, const Measurement_series&
         }
         folds_.push_back(std::move(fold));
     }
+    // With no fold left every score would be 0 and select() would quietly
+    // return the grid's first lambda.
+    if (folds_.empty()) {
+        throw std::invalid_argument(std::to_string(m) +
+                                    "-timepoint series: no k-fold CV fold keeps 2 training "
+                                    "rows; pass --lambda to fix lambda instead");
+    }
 }
 
 double Kfold_plan::score(double lambda) const {
@@ -110,9 +118,7 @@ double Kfold_plan::score(double lambda) const {
             Vector gradient = fold.gradient;
             axpy(lambda, reduced.penalty_gradient, gradient);
             try {
-                y = solve_qp_dual_reduced(hessian, gradient, prep_->reduced_inequality(),
-                                          prep_->reduced_ineq_rhs(), qp_)
-                        .x;
+                y = solve_qp_dual_reduced(hessian, gradient, *prep_, qp_).x;
             } catch (const std::runtime_error&) {
                 // A lambda that breaks the QP is disqualified.
                 return disqualified;

@@ -75,8 +75,10 @@ std::vector<std::size_t> kfold_permutation(std::size_t count, std::uint64_t seed
 class Kfold_plan {
   public:
     /// `folds` is clamped to the measurement count (leave-one-out at the
-    /// limit). Throws std::invalid_argument for folds < 2, an invalid
-    /// series, or a series whose length differs from the kernel time grid.
+    /// limit); a fold with fewer than 2 training rows is skipped. Throws
+    /// std::invalid_argument for folds < 2, an invalid series, a series
+    /// whose length differs from the kernel time grid, or one so short
+    /// that every fold is skipped (2 timepoints).
     Kfold_plan(const Deconvolver& deconvolver, const Measurement_series& series,
                const Deconvolution_options& base_options, std::size_t folds,
                std::uint64_t seed);

@@ -1,5 +1,6 @@
 #include "numerics/linear_solve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -15,63 +16,150 @@ struct Lu_factors {
     int sign = 1;                  // permutation sign, for determinants
 };
 
-Lu_factors lu_factor(const Matrix& a) {
-    if (a.rows() != a.cols()) throw std::invalid_argument("lu_factor: matrix must be square");
-    const std::size_t n = a.rows();
-    Lu_factors f{a, std::vector<std::size_t>(n), 1};
-    std::iota(f.piv.begin(), f.piv.end(), std::size_t{0});
+/// Max |a(i, j)| over the n x n block (NaN entries never win std::max).
+double block_norm_inf(const double* a, std::size_t n, std::size_t ld) {
+    double m = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::abs(a[i * ld + j]));
+    }
+    return m;
+}
 
+/// LU with partial pivoting of the n x n block at `a`, in place (packed
+/// unit-lower L below the diagonal, U on and above); writes the row
+/// permutation to piv and returns its sign.
+int lu_factor_in_place(double* a, std::size_t n, std::size_t ld, std::size_t* piv) {
+    std::iota(piv, piv + n, std::size_t{0});
+    int sign = 1;
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivot: largest magnitude in column k at or below the diagonal.
         std::size_t p = k;
-        double best = std::abs(f.lu(k, k));
+        double best = std::abs(a[k * ld + k]);
         for (std::size_t i = k + 1; i < n; ++i) {
-            const double v = std::abs(f.lu(i, k));
+            const double v = std::abs(a[i * ld + k]);
             if (v > best) {
                 best = v;
                 p = i;
             }
         }
-        if (best < 1e-13 * std::max(1.0, f.lu.norm_inf())) {
+        if (best < 1e-13 * std::max(1.0, block_norm_inf(a, n, ld))) {
             throw std::runtime_error("lu_factor: matrix is singular to working precision");
         }
         if (p != k) {
-            for (std::size_t j = 0; j < n; ++j) std::swap(f.lu(k, j), f.lu(p, j));
-            std::swap(f.piv[k], f.piv[p]);
-            f.sign = -f.sign;
+            for (std::size_t j = 0; j < n; ++j) std::swap(a[k * ld + j], a[p * ld + j]);
+            std::swap(piv[k], piv[p]);
+            sign = -sign;
         }
         for (std::size_t i = k + 1; i < n; ++i) {
-            f.lu(i, k) /= f.lu(k, k);
-            const double lik = f.lu(i, k);
+            a[i * ld + k] /= a[k * ld + k];
+            const double lik = a[i * ld + k];
             if (lik == 0.0) continue;
-            for (std::size_t j = k + 1; j < n; ++j) f.lu(i, j) -= lik * f.lu(k, j);
+            for (std::size_t j = k + 1; j < n; ++j) a[i * ld + j] -= lik * a[k * ld + j];
         }
     }
-    return f;
+    return sign;
 }
 
-Vector lu_apply(const Matrix& lu, const std::vector<std::size_t>& piv, const Vector& b) {
-    const std::size_t n = lu.rows();
-    Vector x(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = b[piv[i]];
+/// Forward (unit-lower L) then back (U) substitution on the already
+/// permuted right-hand side x, in place.
+void lu_substitute_in_place(const double* lu, std::size_t n, std::size_t ld, double* x) {
     // Forward substitution with unit-lower L.
     for (std::size_t i = 1; i < n; ++i) {
         double s = x[i];
-        for (std::size_t j = 0; j < i; ++j) s -= lu(i, j) * x[j];
+        for (std::size_t j = 0; j < i; ++j) s -= lu[i * ld + j] * x[j];
         x[i] = s;
     }
     // Back substitution with U.
     for (std::size_t ii = n; ii-- > 0;) {
         double s = x[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) s -= lu(ii, j) * x[j];
-        x[ii] = s / lu(ii, ii);
+        for (std::size_t j = ii + 1; j < n; ++j) s -= lu[ii * ld + j] * x[j];
+        x[ii] = s / lu[ii * ld + ii];
     }
+}
+
+/// b <- L^{-1} b, in place.
+void cholesky_forward_in_place(const double* l, std::size_t n, std::size_t ld, double* b) {
+    for (std::size_t i = 0; i < n; ++i) {
+        double s = b[i];
+        for (std::size_t j = 0; j < i; ++j) s -= l[i * ld + j] * b[j];
+        b[i] = s / l[i * ld + i];
+    }
+}
+
+/// y <- L^{-T} y, in place.
+void cholesky_backward_in_place(const double* l, std::size_t n, std::size_t ld, double* y) {
+    for (std::size_t ii = n; ii-- > 0;) {
+        double s = y[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) s -= l[j * ld + ii] * y[j];
+        y[ii] = s / l[ii * ld + ii];
+    }
+}
+
+Lu_factors lu_factor(const Matrix& a) {
+    if (a.rows() != a.cols()) throw std::invalid_argument("lu_factor: matrix must be square");
+    const std::size_t n = a.rows();
+    Lu_factors f{a, std::vector<std::size_t>(n), 1};
+    if (n > 0) f.sign = lu_factor_in_place(&f.lu(0, 0), n, n, f.piv.data());
+    return f;
+}
+
+Vector lu_apply(const Lu_factors& f, const Vector& b) {
+    const std::size_t n = f.lu.rows();
+    Vector x(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = b[f.piv[i]];
+    if (n > 0) lu_substitute_in_place(f.lu.data().data(), n, n, x.data());
     return x;
 }
 
-Vector lu_apply(const Lu_factors& f, const Vector& b) { return lu_apply(f.lu, f.piv, b); }
-
 }  // namespace
+
+void cholesky_in_place(double* a, std::size_t n, std::size_t ld) {
+    for (std::size_t j = 0; j < n; ++j) {
+        double d = a[j * ld + j];
+        for (std::size_t k = 0; k < j; ++k) d -= a[j * ld + k] * a[j * ld + k];
+        if (d <= 0.0 || !std::isfinite(d)) {
+            throw std::runtime_error("cholesky: matrix is not positive definite");
+        }
+        a[j * ld + j] = std::sqrt(d);
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double s = a[i * ld + j];
+            for (std::size_t k = 0; k < j; ++k) s -= a[i * ld + k] * a[j * ld + k];
+            a[i * ld + j] = s / a[j * ld + j];
+        }
+    }
+}
+
+void cholesky_solve_in_place(const double* l, std::size_t n, std::size_t ld, double* b) {
+    cholesky_forward_in_place(l, n, ld, b);
+    cholesky_backward_in_place(l, n, ld, b);
+}
+
+void ldlt_factor(const double* a, std::size_t lda, std::size_t n, double* lu,
+                 std::size_t* piv, double* scale) {
+    // Symmetric indefinite systems (KKT matrices) are solved by LU with
+    // partial pivoting after symmetric equilibration. KKT blocks routinely
+    // mix scales (Hessian entries ~1e7 from inverse-variance weights next
+    // to O(1) constraint rows), and without equilibration the LU pivot
+    // threshold — relative to the matrix norm — falsely rejects the small
+    // but perfectly regular constraint pivots.
+    for (std::size_t i = 0; i < n; ++i) {
+        double row_norm = 0.0;
+        for (std::size_t j = 0; j < n; ++j) row_norm = std::max(row_norm, std::abs(a[i * lda + j]));
+        scale[i] = row_norm > 0.0 ? 1.0 / std::sqrt(row_norm) : 1.0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) lu[i * n + j] = a[i * lda + j] * scale[i] * scale[j];
+    }
+    lu_factor_in_place(lu, n, n, piv);
+}
+
+void ldlt_apply(const double* lu, const std::size_t* piv, const double* scale, std::size_t n,
+                const double* b, double* x) {
+    // A x = b  <=>  (S A S)(S^{-1} x) = S b.
+    for (std::size_t i = 0; i < n; ++i) x[i] = b[piv[i]] * scale[piv[i]];
+    lu_substitute_in_place(lu, n, n, x);
+    for (std::size_t i = 0; i < n; ++i) x[i] *= scale[i];
+}
 
 Vector lu_solve(const Matrix& a, const Vector& b) {
     if (a.rows() != b.size()) throw std::invalid_argument("lu_solve: rhs length mismatch");
@@ -106,19 +194,10 @@ Matrix cholesky(const Matrix& a) {
     if (a.rows() != a.cols()) throw std::invalid_argument("cholesky: matrix must be square");
     const std::size_t n = a.rows();
     Matrix l(n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-        double d = a(j, j);
-        for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
-        if (d <= 0.0 || !std::isfinite(d)) {
-            throw std::runtime_error("cholesky: matrix is not positive definite");
-        }
-        l(j, j) = std::sqrt(d);
-        for (std::size_t i = j + 1; i < n; ++i) {
-            double s = a(i, j);
-            for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-            l(i, j) = s / l(j, j);
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) l(i, j) = a(i, j);
     }
+    if (n > 0) cholesky_in_place(&l(0, 0), n, n);
     return l;
 }
 
@@ -128,13 +207,8 @@ Vector Cholesky_factorization::forward(const Vector& b) const {
     if (b.size() != lower_.rows()) {
         throw std::invalid_argument("Cholesky_factorization: rhs length mismatch");
     }
-    const std::size_t n = lower_.rows();
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = b[i];
-        for (std::size_t j = 0; j < i; ++j) s -= lower_(i, j) * y[j];
-        y[i] = s / lower_(i, i);
-    }
+    Vector y = b;
+    cholesky_forward_in_place(lower_.data().data(), y.size(), y.size(), y.data());
     return y;
 }
 
@@ -142,13 +216,8 @@ Vector Cholesky_factorization::backward(const Vector& y) const {
     if (y.size() != lower_.rows()) {
         throw std::invalid_argument("Cholesky_factorization: rhs length mismatch");
     }
-    const std::size_t n = lower_.rows();
-    Vector x(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-        double s = y[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) s -= lower_(j, ii) * x[j];
-        x[ii] = s / lower_(ii, ii);
-    }
+    Vector x = y;
+    cholesky_backward_in_place(lower_.data().data(), x.size(), x.size(), x.data());
     return x;
 }
 
@@ -160,42 +229,23 @@ Vector cholesky_solve(const Matrix& a, const Vector& b) {
 }
 
 Ldlt_factorization::Ldlt_factorization(const Matrix& a) {
-    // Symmetric indefinite systems (KKT matrices) are solved by LU with
-    // partial pivoting after symmetric equilibration. KKT blocks routinely
-    // mix scales (Hessian entries ~1e7 from inverse-variance weights next
-    // to O(1) constraint rows), and without equilibration the LU pivot
-    // threshold — relative to the matrix norm — falsely rejects the small
-    // but perfectly regular constraint pivots.
     if (a.rows() != a.cols()) {
         throw std::invalid_argument("Ldlt_factorization: matrix must be square");
     }
     const std::size_t n = a.rows();
-    scale_.assign(n, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        double row_norm = 0.0;
-        for (std::size_t j = 0; j < n; ++j) row_norm = std::max(row_norm, std::abs(a(i, j)));
-        scale_[i] = row_norm > 0.0 ? 1.0 / std::sqrt(row_norm) : 1.0;
-    }
-    Matrix scaled(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) scaled(i, j) = a(i, j) * scale_[i] * scale_[j];
-    }
-    Lu_factors f = lu_factor(scaled);
-    lu_ = std::move(f.lu);
-    piv_ = std::move(f.piv);
+    lu_ = Matrix(n, n);
+    piv_.resize(n);
+    scale_.resize(n);
+    if (n > 0) ldlt_factor(a.data().data(), n, n, &lu_(0, 0), piv_.data(), scale_.data());
 }
 
 Vector Ldlt_factorization::solve(const Vector& b) const {
     if (b.size() != lu_.rows()) {
         throw std::invalid_argument("Ldlt_factorization: rhs length mismatch");
     }
-    const std::size_t n = lu_.rows();
-    // A x = b  <=>  (S A S)(S^{-1} x) = S b.
-    Vector rhs(n);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = b[i] * scale_[i];
-    Vector z = lu_apply(lu_, piv_, rhs);
-    for (std::size_t i = 0; i < n; ++i) z[i] *= scale_[i];
-    return z;
+    Vector x(b.size());
+    ldlt_apply(lu_.data().data(), piv_.data(), scale_.data(), b.size(), b.data(), x.data());
+    return x;
 }
 
 Vector ldlt_solve(const Matrix& a, const Vector& b) {

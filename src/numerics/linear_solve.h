@@ -91,4 +91,33 @@ Vector qr_least_squares(const Matrix& a, const Vector& b);
 /// matrices only). Returns +inf for singular input instead of throwing.
 double condition_number_1(const Matrix& a);
 
+// ---------------------------------------------------------------------------
+// Buffer forms. The Matrix-returning factorizations above run through
+// these, so each factorization's arithmetic exists once; a caller that
+// keeps its own storage across solves (the QP core's per-thread
+// workspace) calls them directly and allocates nothing. Matrices are
+// row-major with leading dimension `ld` (row stride, in doubles); no
+// shape is checked.
+// ---------------------------------------------------------------------------
+
+/// Cholesky of the n x n block at `a`, in place: reads the lower triangle
+/// and overwrites it with L (the strict upper triangle is not touched).
+/// Throws std::runtime_error if the block is not positive definite.
+void cholesky_in_place(double* a, std::size_t n, std::size_t ld);
+
+/// b <- (L L^T)^{-1} b for the factor of cholesky_in_place.
+void cholesky_solve_in_place(const double* l, std::size_t n, std::size_t ld, double* b);
+
+/// Ldlt_factorization's equilibrated LU of the n x n block at `a`
+/// (leading dimension lda): writes the symmetric scaling to scale[0, n),
+/// the packed factors to the compact n x n `lu` and the permutation to
+/// piv[0, n). Throws std::runtime_error if the block is singular to
+/// working precision.
+void ldlt_factor(const double* a, std::size_t lda, std::size_t n, double* lu,
+                 std::size_t* piv, double* scale);
+
+/// Solve with the factors of ldlt_factor: x = A^{-1} b (b and x distinct).
+void ldlt_apply(const double* lu, const std::size_t* piv, const double* scale, std::size_t n,
+                const double* b, double* x);
+
 }  // namespace cellsync

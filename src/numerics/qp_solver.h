@@ -1,4 +1,5 @@
-// Dense convex quadratic programming by the primal active-set method.
+// Dense convex quadratic programming by the Goldfarb-Idnani dual
+// active-set method.
 //
 // The deconvolution estimator (paper Eq 5 plus the positivity,
 // RNA-conservation, and transcription-rate-continuity constraints) is the
@@ -9,11 +10,10 @@
 //                 C_in x >= d_in
 //
 // with H symmetric positive (semi-)definite. Problem sizes are tiny
-// (tens of unknowns, tens of constraints), so a textbook dense active-set
-// iteration with explicit KKT solves is both simple and fast.
+// (tens of unknowns, tens of constraints), so the equalities are
+// eliminated by a dense null-space reduction and the reduced
+// inequality-only problem is solved by a dense dual iteration.
 #pragma once
-
-#include <optional>
 
 #include "numerics/matrix.h"
 #include "numerics/vector_ops.h"
@@ -42,33 +42,16 @@ struct Qp_result {
 
 /// Options controlling the active-set iteration.
 struct Qp_options {
+    /// Bounds the dual iteration's outer steps (plus ten per inequality).
     std::size_t max_iterations = 1000;
-    /// Feasibility tolerance. Also the per-step violation allowance of the
-    /// relaxed ratio test (iterates may sit up to ~this far outside an
-    /// inequality; tighten it if exact feasibility matters more than
-    /// robustness at degenerate vertices).
+    /// Feasibility tolerance: a row counts as violated below -constraint_tol,
+    /// and the final point may violate no row by more than 100x it.
     double constraint_tol = 1e-9;
-    double multiplier_tol = 1e-9;   ///< dual feasibility tolerance
-    double step_tol = 1e-12;        ///< ||p|| below which a step is "zero"
-    /// Ridge added to H on a singular KKT solve (scaled by trace(H)/n);
-    /// keeps degenerate problems solvable without caller involvement.
+    double multiplier_tol = 1e-9;   ///< dual step entries at or below this never block
+    /// Ridge added to the reduced Hessian (scaled by max(1, trace(H)/n),
+    /// floored at 1e-12) so it is strictly convex.
     double fallback_ridge = 1e-10;
 };
-
-/// Solve the QP by the primal active-set method.
-///
-/// `start` must be feasible if provided. If omitted, the solver tries, in
-/// order: the zero vector; the minimum-norm solution of the equality
-/// system. `initial_working` warm-starts the working set (inequality row
-/// indices, typically the active set of a nearby problem's solution
-/// whose x is passed as `start`); rows that do not belong are shed by
-/// the normal multiplier test, so a stale hint costs iterations, not
-/// correctness. Throws std::invalid_argument for malformed shapes or
-/// out-of-range working indices and std::runtime_error if no feasible
-/// start can be constructed or the iteration limit is exceeded.
-Qp_result solve_qp(const Qp_problem& problem, const Qp_options& options = {},
-                   const std::optional<Vector>& start = std::nullopt,
-                   const std::vector<std::size_t>& initial_working = {});
 
 /// Precomputed constraint geometry of a QP family.
 ///
@@ -96,6 +79,9 @@ class Qp_constraint_prep {
     const Vector& x_particular() const { return x_particular_; }    ///< length n
     const Matrix& reduced_inequality() const { return reduced_ineq_; }  ///< C Z
     const Vector& reduced_ineq_rhs() const { return reduced_rhs_; }     ///< d - C x0
+    /// (C Z)', nz x m_i: the layout the dual solver's most-violated-row
+    /// scan reads, built here once so it can never disagree with C Z.
+    const Matrix& reduced_inequality_transposed() const { return reduced_ineq_t_; }
 
   private:
     std::size_t n_ = 0;
@@ -103,15 +89,29 @@ class Qp_constraint_prep {
     Vector x_particular_;
     Matrix reduced_ineq_;
     Vector reduced_rhs_;
+    Matrix reduced_ineq_t_;
 };
 
-/// Goldfarb-Idnani dual iteration on a reduced, inequality-only QP:
-/// min 0.5 y'H y + g'y  s.t.  C y >= d, with H made strictly convex by a
-/// scaled internal ridge. This is the core shared by solve_qp_dual and the
-/// prepared solve path. Throws std::runtime_error on infeasibility or a
-/// non-PD Hessian.
+/// Goldfarb-Idnani dual iteration on the reduced, inequality-only QP of
+/// `prep`: min 0.5 y'H y + g'y  s.t.  (C Z) y >= d - C x0, with H (nz x nz,
+/// nz = prep.reduced_dim()) made strictly convex by a scaled internal
+/// ridge. This is the core shared by solve_qp_dual, the prepared solve
+/// path, cross-validation's fold fits and the stream's mid-series solves.
+///
+/// A per-thread workspace, private to this core, holds the ridged
+/// Hessian's Cholesky factor, the H^{-1} c_r rows, M = N'H^{-1}N over the
+/// active set and M's LU scratch, so a solve whose shape its thread has
+/// seen before allocates nothing but its result. M gains or loses one row
+/// and column as a constraint enters or is dropped instead of being
+/// rebuilt every inner step, and the most-violated-row scan reads
+/// prep.reduced_inequality_transposed() through the dispatched
+/// transposed_times kernel. Both keep every sum in the order a rebuild
+/// and a per-row dot use, so results are bit-identical to the allocating
+/// formulation at every dispatch tier. Throws std::invalid_argument on a
+/// shape mismatch and std::runtime_error on infeasibility, a non-PD
+/// Hessian or a singular active-set system.
 Qp_result solve_qp_dual_reduced(const Matrix& hessian, const Vector& gradient,
-                                const Matrix& ineq_matrix, const Vector& ineq_rhs,
+                                const Qp_constraint_prep& prep,
                                 const Qp_options& options = {});
 
 /// Goldfarb-Idnani solve of the full QP reusing a shared constraint
@@ -133,10 +133,5 @@ Qp_result solve_qp_dual_prepared(const Matrix& hessian, const Vector& gradient,
 /// estimator uses. Throws std::invalid_argument on malformed shapes and
 /// std::runtime_error on infeasible constraints or a singular Hessian.
 Qp_result solve_qp_dual(const Qp_problem& problem, const Qp_options& options = {});
-
-/// Verify the KKT conditions at x for the given problem; returns the
-/// maximum violation (stationarity, primal and dual feasibility,
-/// complementary slackness). Used by tests and diagnostics.
-double kkt_violation(const Qp_problem& problem, const Qp_result& result);
 
 }  // namespace cellsync

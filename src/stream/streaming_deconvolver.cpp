@@ -212,9 +212,7 @@ void Streaming_deconvolver::solve_and_package() {
     } else {
         // Mid-stream: cold Goldfarb-Idnani directly on the incrementally
         // maintained reduced problem.
-        result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_,
-                                       prep.reduced_inequality(), prep.reduced_ineq_rhs(),
-                                       options.qp);
+        result = solve_qp_dual_reduced(reduced_hessian_, reduced_gradient_, prep, options.qp);
         result.x = prep.z_basis() * result.x + prep.x_particular();
     }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "biology/gene_profiles.h"
 #include "core/batch.h"
@@ -375,6 +376,33 @@ TEST_F(CrossValidationTest, PlanKeepsPerFitChecks) {
                  std::invalid_argument);
     EXPECT_THROW(Kfold_plan(*deconvolver_, data, Deconvolution_options{}, 1, 77),
                  std::invalid_argument);
+}
+
+TEST(KfoldPlanShortSeries, TwoTimepointsLeaveNoFoldAndThrowLabeled) {
+    // Two timepoints clamp to 2 folds of 1 training row each; both are
+    // skipped. Scoring nothing used to return 0 for every lambda and select
+    // the grid's first; the plan now refuses and names the way out.
+    Kernel_build_options build;
+    build.n_cells = 2000;
+    build.n_bins = 60;
+    build.seed = 5;
+    const Kernel_grid kernel = build_kernel(Cell_cycle_config{}, Smooth_volume_model{},
+                                            Vector{0.0, 60.0}, build);
+    const Deconvolver deconvolver(std::make_shared<Natural_spline_basis>(12), kernel,
+                                  Cell_cycle_config{});
+    const Measurement_series series =
+        Measurement_series::with_unit_sigma("g1", kernel.times(), Vector{1.0, 2.0});
+    try {
+        const Kfold_plan plan(deconvolver, series, Deconvolution_options{}, 5, 77);
+        FAIL() << "a plan with no scoreable fold was built";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("--lambda"), std::string::npos) << e.what();
+    }
+    const Batch_entry entry =
+        deconvolve_one(deconvolver, series, default_lambda_grid(), Batch_options{});
+    EXPECT_FALSE(entry.estimate.has_value());
+    EXPECT_NE(entry.error.find("gene 'g1' [std::invalid_argument]"), std::string::npos)
+        << entry.error;
 }
 
 }  // namespace

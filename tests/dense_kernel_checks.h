@@ -1,6 +1,6 @@
 // Shared scaffolding of the dense-kernel tests (banded_matrix_test,
-// packed_banded_test): bitwise comparisons, random operands and tier
-// forcing.
+// packed_banded_test) and of qp_solver_test's bitwise oracle checks:
+// bitwise comparisons, random operands and tier forcing.
 //
 // Tier coverage works two ways: in-process, the tests iterate
 // simd::set_tier_for_testing over the tiers the build + CPU support;

@@ -10,9 +10,13 @@
 #include "numerics/qp_solver.h"
 #include "numerics/quadrature.h"
 #include "numerics/rng.h"
+#include "qp_oracles.h"
 
 namespace cellsync {
 namespace {
+
+using test::solve_qp;
+using test::kkt_violation;
 
 class SolverConsistency : public ::testing::TestWithParam<std::size_t> {};
 

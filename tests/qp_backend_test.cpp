@@ -6,9 +6,12 @@
 #include <stdexcept>
 
 #include "numerics/rng.h"
+#include "qp_oracles.h"
 
 namespace cellsync {
 namespace {
+
+using test::kkt_violation;
 
 // Random strictly convex positivity-only problem (x >= 0, no equalities):
 // the structure both backends support.

@@ -5,29 +5,8 @@
 
 namespace cellsync {
 
-namespace {
-
-void check_phi_sst(double phi_sst) {
-    if (!(phi_sst > 0.0 && phi_sst < 1.0)) {
-        throw std::invalid_argument("Volume_model: phi_sst must lie in (0, 1)");
-    }
-}
-
-}  // namespace
-
-double Smooth_volume_model::relative_volume(double phi, double phi_sst) const {
-    check_phi_sst(phi_sst);
-    phi = std::clamp(phi, 0.0, 1.0);
-    const double s = phi_sst;
-    if (phi < s) {
-        // Cubic piece of Eq 11: 0.4 + a1 phi + a2 phi^2 + a3 phi^3.
-        const double a1 = 0.4 / (1.0 - s);
-        const double a2 = (0.6 - 1.8 * s) / ((1.0 - s) * s * s);
-        const double a3 = (1.2 * s - 0.4) / ((1.0 - s) * s * s * s);
-        return 0.4 + a1 * phi + a2 * phi * phi + a3 * phi * phi * phi;
-    }
-    // Linear piece: 1 - 0.4/(1-s) + 0.4 phi/(1-s).
-    return 1.0 - 0.4 / (1.0 - s) + 0.4 * phi / (1.0 - s);
+void throw_invalid_phi_sst() {
+    throw std::invalid_argument("Volume_model: phi_sst must lie in (0, 1)");
 }
 
 double Smooth_volume_model::derivative(double phi, double phi_sst) const {
@@ -41,17 +20,6 @@ double Smooth_volume_model::derivative(double phi, double phi_sst) const {
         return a1 + 2.0 * a2 * phi + 3.0 * a3 * phi * phi;
     }
     return 0.4 / (1.0 - s);
-}
-
-double Linear_volume_model::relative_volume(double phi, double phi_sst) const {
-    check_phi_sst(phi_sst);
-    phi = std::clamp(phi, 0.0, 1.0);
-    if (phi < phi_sst) {
-        // 0.4 -> 0.6 linearly across the SW stage.
-        return 0.4 + 0.2 * phi / phi_sst;
-    }
-    // 0.6 -> 1.0 linearly across the ST stage.
-    return 0.6 + 0.4 * (phi - phi_sst) / (1.0 - phi_sst);
 }
 
 double Linear_volume_model::derivative(double phi, double phi_sst) const {

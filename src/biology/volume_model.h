@@ -18,6 +18,7 @@
 // cancels in the normalized kernel.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -40,10 +41,36 @@ class Volume_model {
     virtual std::string name() const = 0;
 };
 
+/// Throws std::invalid_argument naming phi_sst's (0, 1) range.
+[[noreturn]] void throw_invalid_phi_sst();
+
+/// Throws std::invalid_argument unless phi_sst lies in (0, 1).
+inline void check_phi_sst(double phi_sst) {
+    if (!(phi_sst > 0.0 && phi_sst < 1.0)) throw_invalid_phi_sst();
+}
+
+// The two models below are final and define relative_volume in the
+// header, so a loop templated on the concrete model (the kernel
+// builder's per-cell histogram visit) inlines it instead of making a
+// virtual call per cell.
+
 /// 2011 smooth model (paper Eq 11).
 class Smooth_volume_model final : public Volume_model {
   public:
-    double relative_volume(double phi, double phi_sst) const override;
+    double relative_volume(double phi, double phi_sst) const override {
+        check_phi_sst(phi_sst);
+        phi = std::clamp(phi, 0.0, 1.0);
+        const double s = phi_sst;
+        if (phi < s) {
+            // Cubic piece of Eq 11: 0.4 + a1 phi + a2 phi^2 + a3 phi^3.
+            const double a1 = 0.4 / (1.0 - s);
+            const double a2 = (0.6 - 1.8 * s) / ((1.0 - s) * s * s);
+            const double a3 = (1.2 * s - 0.4) / ((1.0 - s) * s * s * s);
+            return 0.4 + a1 * phi + a2 * phi * phi + a3 * phi * phi * phi;
+        }
+        // Linear piece: 1 - 0.4/(1-s) + 0.4 phi/(1-s).
+        return 1.0 - 0.4 / (1.0 - s) + 0.4 * phi / (1.0 - s);
+    }
     double derivative(double phi, double phi_sst) const override;
     std::string name() const override { return "smooth-2011"; }
 };
@@ -51,7 +78,16 @@ class Smooth_volume_model final : public Volume_model {
 /// 2009 piecewise-linear baseline.
 class Linear_volume_model final : public Volume_model {
   public:
-    double relative_volume(double phi, double phi_sst) const override;
+    double relative_volume(double phi, double phi_sst) const override {
+        check_phi_sst(phi_sst);
+        phi = std::clamp(phi, 0.0, 1.0);
+        if (phi < phi_sst) {
+            // 0.4 -> 0.6 linearly across the SW stage.
+            return 0.4 + 0.2 * phi / phi_sst;
+        }
+        // 0.6 -> 1.0 linearly across the ST stage.
+        return 0.6 + 0.4 * (phi - phi_sst) / (1.0 - phi_sst);
+    }
     double derivative(double phi, double phi_sst) const override;
     std::string name() const override { return "linear-2009"; }
 };

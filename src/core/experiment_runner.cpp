@@ -80,12 +80,16 @@ Vector warm_grid(double center, std::size_t points, double decades) {
 /// keeps the grid circularly open (phi = 0 and 1 are the same angle and
 /// must not be double-counted), and using the output grid's own points
 /// lets `cellsync_deconvolve report` reproduce these scores exactly from
-/// a saved profile CSV.
-Vector make_score_phi() {
-    Vector score_phi = linspace(0.0, 1.0, 201);
-    score_phi.pop_back();
-    return score_phi;
-}
+/// a saved profile CSV. The grid's points on the unit circle are built
+/// once per run, so scoring a profile evaluates no trigonometry.
+struct Score_grid {
+    Vector phi = [] {
+        Vector grid = linspace(0.0, 1.0, 201);
+        grid.pop_back();
+        return grid;
+    }();
+    Phase_circle circle = phase_circle(phi);
+};
 
 /// Per-gene warm-started lambda grids for condition `c`: narrowed around
 /// each gene's selection in the most recent condition where it succeeded
@@ -110,7 +114,7 @@ std::vector<Vector> warm_grids_for(const Experiment_spec& spec, std::size_t c,
 /// Record the condition's selected lambdas (feeding later conditions'
 /// warm starts) and score every successful profile's synchrony. `basis`
 /// is the condition's design basis, shared by all of its estimates.
-void score_condition(Condition_result& out, const Basis& basis, const Vector& score_phi,
+void score_condition(Condition_result& out, const Basis& basis, const Score_grid& grid,
                      std::map<std::string, double>& previous_lambda) {
     // Shared by both schedules, once per condition — the one place the
     // experiment-level progress counters can tick identically for the
@@ -131,20 +135,20 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
     // One grid design per condition: each profile is then a single
     // mat-vec, bit-identical to estimate.sample(score_phi) (the same
     // increasing-index accumulation per grid point).
-    const Matrix score_design = basis.design_matrix(score_phi);
+    const Matrix score_design = basis.design_matrix(grid.phi);
     for (const Batch_entry& entry : out.genes) {
         if (!entry.estimate.has_value()) continue;
         const Vector values = score_design * entry.estimate->coefficients();
         Gene_synchrony scores;
         scores.label = entry.label;
         try {
-            scores.order_parameter = profile_order_parameter(score_phi, values);
+            scores.order_parameter = circle_order_parameter(grid.circle, values);
             scores.entropy = profile_entropy(values);
         } catch (const std::invalid_argument&) {
             continue;  // no positive mass: synchrony is undefined, skip
         }
         const auto peak = std::max_element(values.begin(), values.end());
-        scores.peak_phi = score_phi[static_cast<std::size_t>(peak - values.begin())];
+        scores.peak_phi = grid.phi[static_cast<std::size_t>(peak - values.begin())];
         out.synchrony.push_back(std::move(scores));
     }
     if (!out.synchrony.empty()) {
@@ -161,7 +165,7 @@ void score_condition(Condition_result& out, const Basis& basis, const Vector& sc
 /// The reference schedule: condition k completes before k+1 starts.
 Experiment_result run_sequential(const Experiment_spec& spec,
                                  const Volume_model& volume_model, Kernel_cache& cache) {
-    const Vector score_phi = make_score_phi();
+    const Score_grid score_grid;
 
     Experiment_result result;
     result.conditions.reserve(spec.conditions.size());
@@ -216,7 +220,7 @@ Experiment_result run_sequential(const Experiment_spec& spec,
             const telemetry::Trace_span score_span(
                 "experiment.score", "experiment",
                 tracing ? telemetry::arg("condition", out.name) : std::string());
-            score_condition(out, engine.deconvolver().basis(), score_phi, previous_lambda);
+            score_condition(out, engine.deconvolver().basis(), score_grid, previous_lambda);
         }
         result.conditions.push_back(std::move(out));
     }
@@ -226,19 +230,21 @@ Experiment_result run_sequential(const Experiment_spec& spec,
 /// The pipelined schedule: one Task_graph per run, executed by one
 /// Worker_pool. Per condition c —
 ///
-///   kernel_c ──► prep_c ──► solve_c (one task per gene) ──► score_c
-///                  ▲                                           │
-///                  └──────────── score_{c-1} ◄─────────────────┘
+///   lookup_c ──► kernel_chunks_c ──► kernel_publish_c ──► prep_c ──► solve_c ──► score_c
+///                (chunk_count tasks)                        ▲        (a task       │
+///                                                           │        per gene)     │
+///                                                           └─── score_{c-1} ◄─────┘
 ///
-/// Every kernel node is a root (async cache requests were issued up
-/// front, duplicates already joined in flight), so kernel simulation of
-/// condition k+1 runs while condition k's solves drain. The prep/score
-/// chain carries the warm-start state exactly as the sequential
-/// schedule does, which is why the two are bit-identical.
+/// Every lookup node is a root: disk hits are served there and misses
+/// claim a founder-chunked build, whose chunks then spread over every
+/// free worker. The prep/score chain carries the warm-start state exactly
+/// as the sequential schedule does, which is why the two are
+/// bit-identical; the kernel is bit-identical whichever workers ran its
+/// chunks, because the chunk count is a constant.
 Experiment_result run_pipelined(const Experiment_spec& spec,
                                 const Volume_model& volume_model, Kernel_cache& cache) {
     const std::size_t n = spec.conditions.size();
-    const Vector score_phi = make_score_phi();
+    const Score_grid score_grid;
 
     Experiment_result result;
     result.conditions.resize(n);
@@ -247,15 +253,27 @@ Experiment_result run_pipelined(const Experiment_spec& spec,
     }
 
     // Issue every condition's kernel request up front, in condition order
-    // on this thread: distinct keys become independently runnable build
-    // nodes, repeated keys join the first request's in-flight resolution
-    // — so the cache counters match the sequential schedule exactly.
+    // on this thread: distinct keys become independent resolutions,
+    // repeated keys join the first request's in-flight resolution — so
+    // the cache counters match the sequential schedule exactly. A
+    // condition repeating an earlier condition's key never looks up; its
+    // publish node waits on that condition's publish node instead, so no
+    // worker ever blocks on a build that is still queued behind it.
     std::vector<Kernel_cache::Async_request> requests;
     requests.reserve(n);
-    for (const Experiment_condition& condition : spec.conditions) {
-        requests.push_back(cache.get_or_build_async(condition.cell_cycle, volume_model,
-                                                    condition.panel.front().times,
-                                                    spec.kernel));
+    std::vector<std::size_t> first_request(n);
+    std::map<std::string, std::size_t> first_with_key;
+    for (std::size_t c = 0; c < n; ++c) {
+        const Experiment_condition& condition = spec.conditions[c];
+        const Vector& times = condition.panel.front().times;
+        requests.push_back(
+            cache.get_or_build_async(condition.cell_cycle, volume_model, times, spec.kernel));
+        first_request[c] = first_with_key
+                               .emplace(Kernel_cache::cache_key(condition.cell_cycle,
+                                                                volume_model, times,
+                                                                spec.kernel),
+                                        c)
+                               .first->second;
     }
 
     /// Solve inputs produced by prep_c, consumed by solve_c's gene tasks.
@@ -271,19 +289,34 @@ Experiment_result run_pipelined(const Experiment_spec& spec,
     std::map<const Kernel_grid*, std::shared_ptr<const Design_artifacts>> designs;
 
     Task_graph graph;
-    std::vector<Task_graph::Node_id> kernel_nodes(n);
+    std::vector<Task_graph::Node_id> lookup_nodes(n);
+    std::vector<Task_graph::Node_id> publish_nodes(n);
     std::vector<Task_graph::Node_id> score_nodes(n);
-    // Kernel nodes first: they get threads first when several nodes are
-    // ready, which is right — they are the long poles being hidden.
+    // Lookup nodes first, then each condition's chain in condition order.
+    // Lowest-id-first claiming then runs condition c's solves and score
+    // ahead of later conditions' chunks whenever both are ready, while
+    // those chunks fill every worker the chain leaves idle.
     for (std::size_t c = 0; c < n; ++c) {
-        kernel_nodes[c] = graph.add_node(
-            "kernel:" + result.conditions[c].name, 1,
-            [&result, &requests, c](std::size_t) {
-                result.conditions[c].kernel = requests[c].get();
+        lookup_nodes[c] = graph.add_node(
+            "kernel_lookup:" + result.conditions[c].name, 1,
+            [&requests, &first_request, c](std::size_t) {
+                if (first_request[c] == c) requests[c].lookup();
             });
     }
     for (std::size_t c = 0; c < n; ++c) {
-        std::vector<Task_graph::Node_id> prep_deps = {kernel_nodes[c]};
+        const Task_graph::Node_id chunks = graph.add_node(
+            "kernel_chunks:" + result.conditions[c].name,
+            Kernel_cache::Async_request::chunk_count(),
+            [&requests, c](std::size_t k) { requests[c].run_chunk(k); }, {lookup_nodes[c]});
+        std::vector<Task_graph::Node_id> publish_deps = {chunks};
+        if (first_request[c] != c) publish_deps.push_back(publish_nodes[first_request[c]]);
+        publish_nodes[c] = graph.add_node(
+            "kernel_publish:" + result.conditions[c].name, 1,
+            [&result, &requests, c](std::size_t) {
+                result.conditions[c].kernel = requests[c].publish();
+            },
+            std::move(publish_deps));
+        std::vector<Task_graph::Node_id> prep_deps = {publish_nodes[c]};
         if (c > 0) prep_deps.push_back(score_nodes[c - 1]);
         const Task_graph::Node_id prep = graph.add_node(
             "prep:" + result.conditions[c].name, 1,
@@ -315,8 +348,8 @@ Experiment_result run_pipelined(const Experiment_spec& spec,
             {prep});
         score_nodes[c] = graph.add_node(
             "score:" + result.conditions[c].name, 1,
-            [&result, &work, &score_phi, &previous_lambda, c](std::size_t) {
-                score_condition(result.conditions[c], work[c].deconvolver->basis(), score_phi,
+            [&result, &work, &score_grid, &previous_lambda, c](std::size_t) {
+                score_condition(result.conditions[c], work[c].deconvolver->basis(), score_grid,
                                 previous_lambda);
             },
             {solve});

@@ -15,12 +15,13 @@
 // Two schedules produce bit-identical results. The sequential schedule
 // finishes condition k entirely before touching k+1. The pipelined
 // schedule (default) expresses the run as a Task_graph on one
-// Worker_pool — per condition a kernel node, a prep node (warm grids),
-// a per-gene solve batch, and a scoring node — where only the stages
-// that truly depend on each other are ordered: kernel simulation of
-// condition k+1 (an async Kernel_cache request) overlaps the solves of
-// condition k, which is where a cold multi-condition run spends its
-// serial time. For panels too large for one machine, shard_experiment
+// Worker_pool — per condition a kernel lookup, a batch of founder-chunk
+// build tasks, a kernel publish, a prep node (warm grids), a per-gene
+// solve batch, and a scoring node — where only the stages that truly
+// depend on each other are ordered: one kernel's chunks spread over
+// every free worker, and the kernel simulation of condition k+1 (an
+// async Kernel_cache request) overlaps the solves of condition k, which
+// is where a cold multi-condition run spends its serial time. For panels too large for one machine, shard_experiment
 // splits the gene panels deterministically across processes; per-shard
 // outputs merge losslessly (`cellsync_deconvolve merge-results`).
 //
@@ -54,10 +55,11 @@ enum class Experiment_schedule {
     /// k+1 starts — the historical path, kept as the reference.
     sequential,
     /// Task-graph execution on one worker pool: all conditions' kernel
-    /// resolutions start immediately (deduplicated via
-    /// Kernel_cache::get_or_build_async), overlapping the per-gene solve
-    /// chain, which stays ordered only by its true dependencies (warm
-    /// starts flow from condition k to k+1).
+    /// lookups run first (deduplicated via
+    /// Kernel_cache::get_or_build_async), each build's founder chunks
+    /// run as parallel tasks, overlapping the per-gene solve chain,
+    /// which stays ordered only by its true dependencies (warm starts
+    /// flow from condition k to k+1).
     pipelined,
 };
 

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "population/phase_distribution.h"
-
 namespace cellsync {
 
 Kernel_grid::Kernel_grid(Vector times, Vector phi_centers, Matrix q)
@@ -97,37 +95,92 @@ Matrix Kernel_grid::basis_matrix(const Basis& basis) const {
     return k;
 }
 
-Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& volume_model,
-                         const Vector& times, const Kernel_build_options& options) {
-    if (times.empty()) throw std::invalid_argument("build_kernel: empty time grid");
-    if (times.front() < 0.0) throw std::invalid_argument("build_kernel: negative time");
-    for (std::size_t i = 0; i + 1 < times.size(); ++i) {
-        if (!(times[i] < times[i + 1])) {
+namespace {
+
+/// Advance `sim` through every time, filling histograms[m] with the live
+/// cells' volume-weighted phases at times[m] during the division scan.
+/// Instantiated on the two final volume models, so relative_volume
+/// inlines; any other model goes through the virtual call.
+template <class Model>
+void histogram_chunk(Population_simulator& sim, const Model& volume_model,
+                     const Vector& times, std::vector<Phase_histogram>& histograms) {
+    for (std::size_t m = 0; m < times.size(); ++m) {
+        const double t = times[m];
+        Phase_histogram& histogram = histograms[m];
+        sim.advance_to(t, [&](const Simulated_cell& cell) {
+            const double phi = cell.phase_at(t);
+            histogram.add(phi, volume_model.relative_volume(phi, cell.params.phi_sst));
+        });
+    }
+}
+
+}  // namespace
+
+Kernel_build::Kernel_build(const Cell_cycle_config& config, const Volume_model& volume_model,
+                           Vector times, const Kernel_build_options& options)
+    : config_(config),
+      volume_model_(&volume_model),
+      times_(std::move(times)),
+      options_(options),
+      chunks_(chunk_count()) {
+    if (times_.empty()) throw std::invalid_argument("build_kernel: empty time grid");
+    if (times_.front() < 0.0) throw std::invalid_argument("build_kernel: negative time");
+    for (std::size_t i = 0; i + 1 < times_.size(); ++i) {
+        if (!(times_[i] < times_[i + 1])) {
             throw std::invalid_argument("build_kernel: times must be strictly ascending");
         }
     }
-    if (options.n_cells == 0 || options.n_bins == 0) {
+    if (options_.n_cells == 0 || options_.n_bins == 0) {
         throw std::invalid_argument("build_kernel: n_cells and n_bins must be positive");
     }
+    config_.validate();
+}
 
-    Population_simulator sim(config, options.n_cells, options.seed);
-    Matrix q(times.size(), options.n_bins);
+void Kernel_build::run_chunk(std::size_t k) {
+    std::vector<Phase_histogram>& histograms = chunks_.at(k);
+    if (!histograms.empty()) throw std::logic_error("Kernel_build::run_chunk: chunk ran twice");
+    const std::size_t n = options_.n_cells;
+    Population_simulator sim(config_, Founder_range{k * n / chunk_count(),
+                                                    (k + 1) * n / chunk_count()},
+                             options_.seed);
+    std::vector<Phase_histogram> filled;
+    filled.reserve(times_.size());
+    for (std::size_t m = 0; m < times_.size(); ++m) filled.emplace_back(options_.n_bins);
+    if (const auto* smooth = dynamic_cast<const Smooth_volume_model*>(volume_model_)) {
+        histogram_chunk(sim, *smooth, times_, filled);
+    } else if (const auto* linear = dynamic_cast<const Linear_volume_model*>(volume_model_)) {
+        histogram_chunk(sim, *linear, times_, filled);
+    } else {
+        histogram_chunk(sim, *volume_model_, times_, filled);
+    }
+    histograms = std::move(filled);
+}
+
+Kernel_grid Kernel_build::finish() const {
+    for (const std::vector<Phase_histogram>& histograms : chunks_) {
+        if (histograms.empty()) {
+            throw std::logic_error("Kernel_build::finish: a chunk has not run");
+        }
+    }
+    Matrix q(times_.size(), options_.n_bins);
     Vector centers;
-    for (std::size_t m = 0; m < times.size(); ++m) {
-        // Volume-weighted histogram of the live cells, filled during the
-        // division scan: the same numbers
-        // phase_volume_density(sim.snapshot(volume_model)) gives after
-        // advance_to, without materializing the snapshot.
-        Phase_histogram histogram(options.n_bins);
-        sim.advance_to(times[m], [&](const Simulated_cell& cell) {
-            const double phi = cell.phase_at(times[m]);
-            histogram.add(phi, volume_model.relative_volume(phi, cell.params.phi_sst));
-        });
-        Phase_density d = histogram.density();
+    for (std::size_t m = 0; m < times_.size(); ++m) {
+        Phase_histogram merged(options_.n_bins);
+        for (const std::vector<Phase_histogram>& histograms : chunks_) {
+            merged.merge(histograms[m]);
+        }
+        Phase_density d = merged.density();
         q.set_row(m, d.density);
         if (m == 0) centers = std::move(d.bin_centers);
     }
-    return Kernel_grid(times, centers, std::move(q));
+    return Kernel_grid(times_, std::move(centers), std::move(q));
+}
+
+Kernel_grid build_kernel(const Cell_cycle_config& config, const Volume_model& volume_model,
+                         const Vector& times, const Kernel_build_options& options) {
+    Kernel_build build(config, volume_model, times, options);
+    for (std::size_t k = 0; k < Kernel_build::chunk_count(); ++k) build.run_chunk(k);
+    return build.finish();
 }
 
 }  // namespace cellsync

@@ -142,21 +142,31 @@ void save_manifest(const std::string& manifest_file,
 
 /// The completion latch and result shared by every Async_request that
 /// joined one key's resolution. Deliberately holds no build inputs:
-/// each request carries its own copies, so a request abandoned without
-/// get() leaves nothing dangling for a later joiner to dereference —
-/// that joiner claims the execution and uses its own (live) inputs.
+/// each request carries its own copies, so a request abandoned before
+/// resolving leaves nothing dangling for a later joiner to dereference —
+/// that joiner claims the resolution and uses its own (live) inputs.
 struct Kernel_cache_request_state {
     // Written once by get_or_build_async before the state is shared,
     // immutable afterwards: readable without the latch mutex.
     Kernel_cache* cache = nullptr;
     std::string key;
+    std::string hash;  ///< key_hash(key), the entry's file stem and span arg
 
     Annotated_mutex mutex;
     Annotated_condition_variable cv;
-    bool started CELLSYNC_GUARDED_BY(mutex) = false;  ///< a get() caller claimed the execution
+    bool claimed CELLSYNC_GUARDED_BY(mutex) = false;  ///< a lookup() owns the resolution
     bool done CELLSYNC_GUARDED_BY(mutex) = false;
     std::shared_ptr<const Kernel_grid> result CELLSYNC_GUARDED_BY(mutex);
     std::exception_ptr error CELLSYNC_GUARDED_BY(mutex);
+};
+
+/// A build claimed by one request. Chunk k writes only slot k of
+/// `errors` and `chunk_us`, so distinct chunks never share state.
+struct Kernel_cache_claimed_build {
+    Kernel_build build;
+    std::vector<std::exception_ptr> errors =
+        std::vector<std::exception_ptr>(Kernel_build::chunk_count());
+    std::vector<double> chunk_us = std::vector<double>(Kernel_build::chunk_count(), 0.0);
 };
 
 Kernel_cache::Kernel_cache(std::string directory, Kernel_cache_limits limits)
@@ -178,7 +188,8 @@ Kernel_cache::Kernel_cache(std::string directory, Kernel_cache_limits limits)
 std::string Kernel_cache::cache_key(const Cell_cycle_config& config,
                                     const Volume_model& volume_model, const Vector& times,
                                     const Kernel_build_options& options) {
-    std::string key = "cellsync-kernel-v2;";
+    std::string key = "cellsync-kernel-v3;";
+    key += "chunks=" + std::to_string(Kernel_build::chunk_count()) + ";";
     append_double(key, "mu_sst", config.mu_sst);
     append_double(key, "cv_sst", config.cv_sst);
     append_double(key, "mean_cycle_minutes", config.mean_cycle_minutes);
@@ -362,7 +373,7 @@ Kernel_cache::Async_request Kernel_cache::get_or_build_async(
     if (const auto it = inflight_.find(key); it != inflight_.end()) {
         // Joining a resolution already in flight counts as a memory hit:
         // the shared grid is served from the in-memory map the moment the
-        // executing caller publishes it. Counting at call time keeps the
+        // claiming request publishes it. Counting at call time keeps the
         // stats deterministic when requests are issued from one thread.
         ++stats_.memory_hits;
         inflight_joins.add();
@@ -372,156 +383,217 @@ Kernel_cache::Async_request Kernel_cache::get_or_build_async(
     misses.add();
     auto state = std::make_shared<Kernel_cache_request_state>();
     state->cache = this;
+    state->hash = key_hash(key);
     state->key = key;
     inflight_.emplace(std::move(key), state);
     request.state_ = std::move(state);
     return request;
 }
 
-std::shared_ptr<const Kernel_grid> Kernel_cache::Async_request::get() {
-    if (!state_) {
-        throw std::logic_error("Kernel_cache::Async_request: get() on an empty request");
-    }
-    bool execute = false;
+Kernel_cache::Async_request::Async_request() = default;
+Kernel_cache::Async_request::Async_request(Async_request&&) noexcept = default;
+
+Kernel_cache::Async_request::~Async_request() {
+    if (!build_) return;
+    // Claimed but never published (a failed graph cancelled the publish,
+    // or an exception unwound past it): hand the claim back so a waiting
+    // joiner, or the next request to look up, resolves the key itself.
     {
         const Annotated_lock lock(state_->mutex);
-        if (!state_->done && !state_->started) {
-            state_->started = true;
-            execute = true;
-        }
+        state_->claimed = false;
     }
-    {
-        // Async-request span: how long this caller spent executing the
-        // shared resolution, or blocked waiting for another executor.
-        const bool tracing = telemetry::Trace_recorder::instance().enabled();
-        const telemetry::Trace_span span(
-            "kernel_cache.request", "cache",
-            tracing ? telemetry::arg("role", execute ? "execute" : "wait")
-                    : std::string());
-        if (execute) {
-            state_->cache->resolve_request(state_, config_, *volume_, times_, options_);
-        } else {
-            Annotated_lock lock(state_->mutex);
-            while (!state_->done) state_->cv.wait(lock);
-        }
-    }
-    Annotated_lock lock(state_->mutex);
-    while (!state_->done) state_->cv.wait(lock);
-    if (state_->error) std::rethrow_exception(state_->error);
-    return state_->result;
+    state_->cv.notify_all();
 }
 
-void Kernel_cache::resolve_request(const std::shared_ptr<Kernel_cache_request_state>& state,
-                                   const Cell_cycle_config& config,
-                                   const Volume_model& volume_model, const Vector& times,
-                                   const Kernel_build_options& options) {
-    // Disk I/O and simulation run outside the cache mutex so a long build
-    // never blocks unrelated lookups; waiters block only on this
-    // request's own latch.
-    std::shared_ptr<const Kernel_grid> kernel;
-    std::exception_ptr error;
-    bool from_disk = false;
-    bool migrated = false;
-    const std::string& key = state->key;
-    const std::string hash = key_hash(key);
-    const bool tracing = telemetry::Trace_recorder::instance().enabled();
-    const telemetry::Trace_span resolve_span(
-        "kernel_cache.resolve", "cache",
-        tracing ? telemetry::arg("hash", hash) : std::string());
-    try {
-        if (!directory_.empty() && read_text_file(sidecar_path(hash)) == key) {
-            // The sidecar is written after the kernel file, so a matching
-            // key promises a complete entry; a corrupt or
-            // invariant-violating file still only costs a rebuild. New
-            // entries are binary; legacy caches hold CSVs — serve either,
-            // preferring the binary when both exist (mid-migration).
-            std::error_code ec;
-            const std::string binary = binary_entry_path(hash);
-            bool is_legacy = !std::filesystem::exists(binary, ec);
-            std::string entry = is_legacy ? legacy_entry_path(hash) : binary;
-            try {
-                try {
-                    kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
-                } catch (const std::exception& e) {
-                    // A torn mid-migration binary (process killed between
-                    // opening the .bin and its flush) must not shadow the
-                    // still-valid CSV sitting next to it: fall back, and
-                    // let the migration below overwrite the torn file.
-                    if (is_legacy || !std::filesystem::exists(legacy_entry_path(hash), ec)) {
-                        throw;
-                    }
-                    std::fprintf(stderr,
-                                 "Kernel_cache: unreadable binary entry %s (%s); falling "
-                                 "back to the legacy CSV\n",
-                                 entry.c_str(), e.what());
-                    is_legacy = true;
-                    entry = legacy_entry_path(hash);
-                    kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
-                }
-                from_disk = true;
-                bool stored = false;
-                if (!limits_.read_only) {
-                    if (is_legacy) {
-                        // Opportunistic upgrade: a writable owner rewrites
-                        // a legacy entry in the binary format the first
-                        // time it is touched, so old caches converge
-                        // without a separate migration pass.
-                        stored = migrate_legacy_entry(hash, *kernel);
-                        migrated = stored;
-                    } else if (std::filesystem::exists(legacy_entry_path(hash), ec)) {
-                        // A migration that died between writing the binary
-                        // and dropping the CSV left both behind; the
-                        // binary just read fine, so finish the job.
-                        std::filesystem::remove(legacy_entry_path(hash), ec);
-                        stored = true;  // re-account the shrunken footprint
-                    }
-                }
-                touch_manifest(hash, key, stored);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "Kernel_cache: discarding unreadable entry %s (%s)\n",
-                             entry.c_str(), e.what());
-            }
-        }
-        if (!kernel) {
-            const telemetry::Latency_timer build_watch;
-            kernel = std::make_shared<const Kernel_grid>(
-                build_kernel(config, volume_model, times, options));
-            static telemetry::Histogram& build_us =
-                telemetry::histogram("kernel_cache.build_us");
-            build_us.record(build_watch.elapsed_us());
-            if (!directory_.empty() && !limits_.read_only) {
-                // A full disk or unwritable directory degrades to
-                // memory-only caching instead of sinking the run. The
-                // sidecar commit marker is only written after the kernel
-                // file lands completely, and a torn kernel file is
-                // removed, so no failure mode publishes a corrupt entry.
-                try {
-                    write_kernel_file(binary_entry_path(hash), *kernel,
-                                      Kernel_format::binary);
-                    {
-                        std::ofstream sidecar(sidecar_path(hash),
-                                              std::ios::binary | std::ios::trunc);
-                        sidecar << key;
-                        sidecar.flush();
-                        if (!sidecar) {
-                            throw std::runtime_error("cannot write '" +
-                                                     sidecar_path(hash) + "'");
-                        }
-                    }
-                    touch_manifest(hash, key, /*stored=*/true);
-                } catch (const std::exception& e) {
-                    std::error_code ec;
-                    std::filesystem::remove(sidecar_path(hash), ec);
-                    std::filesystem::remove(binary_entry_path(hash), ec);
-                    std::fprintf(stderr, "Kernel_cache: could not persist entry: %s\n",
-                                 e.what());
-                }
-            }
-        }
-    } catch (...) {
-        error = std::current_exception();
+void Kernel_cache::Async_request::lookup() {
+    if (!state_) {
+        throw std::logic_error("Kernel_cache::Async_request: lookup() on an empty request");
     }
+    if (build_) return;
+    {
+        const Annotated_lock lock(state_->mutex);
+        if (state_->done || state_->claimed) return;
+        state_->claimed = true;
+    }
+    Kernel_cache& cache = *state_->cache;
+    const bool tracing = telemetry::Trace_recorder::instance().enabled();
+    const telemetry::Trace_span span(
+        "kernel_cache.lookup", "cache",
+        tracing ? telemetry::arg("hash", state_->hash) : std::string());
+    try {
+        bool migrated = false;
+        if (std::shared_ptr<const Kernel_grid> kernel =
+                cache.load_entry(state_->hash, state_->key, migrated)) {
+            cache.complete_request(*state_, std::move(kernel), nullptr, true, migrated);
+            return;
+        }
+        build_.reset(new Kernel_cache_claimed_build{
+            Kernel_build(config_, *volume_, times_, options_)});
+    } catch (...) {
+        cache.complete_request(*state_, nullptr, std::current_exception(), false, false);
+    }
+}
 
+void Kernel_cache::Async_request::run_chunk(std::size_t k) {
+    if (k >= chunk_count()) {
+        throw std::out_of_range("Kernel_cache::Async_request::run_chunk: no such chunk");
+    }
+    if (!build_) return;
+    const bool tracing = telemetry::Trace_recorder::instance().enabled();
+    const telemetry::Trace_span span(
+        "kernel.chunk", "cache",
+        tracing ? telemetry::args_join(telemetry::arg("hash", state_->hash),
+                                       telemetry::arg("chunk", static_cast<std::int64_t>(k)))
+                : std::string());
+    const telemetry::Latency_timer watch;
+    try {
+        build_->build.run_chunk(k);
+    } catch (...) {
+        build_->errors[k] = std::current_exception();
+    }
+    build_->chunk_us[k] = watch.elapsed_us();
+}
+
+std::shared_ptr<const Kernel_grid> Kernel_cache::Async_request::publish() {
+    if (!state_) {
+        throw std::logic_error("Kernel_cache::Async_request: publish() on an empty request");
+    }
+    if (build_) {
+        const std::unique_ptr<Kernel_cache_claimed_build> claimed = std::move(build_);
+        Kernel_cache& cache = *state_->cache;
+        const bool tracing = telemetry::Trace_recorder::instance().enabled();
+        const telemetry::Trace_span span(
+            "kernel.publish", "cache",
+            tracing ? telemetry::arg("hash", state_->hash) : std::string());
+        std::shared_ptr<const Kernel_grid> kernel;
+        std::exception_ptr error;
+        try {
+            for (const std::exception_ptr& chunk_error : claimed->errors) {
+                if (chunk_error) std::rethrow_exception(chunk_error);
+            }
+            const telemetry::Latency_timer merge_watch;
+            kernel = std::make_shared<const Kernel_grid>(claimed->build.finish());
+            // Simulation work of the build: its chunks' times, wherever
+            // they ran, plus the merge.
+            double build_us = merge_watch.elapsed_us();
+            for (const double us : claimed->chunk_us) build_us += us;
+            static telemetry::Histogram& build_histogram =
+                telemetry::histogram("kernel_cache.build_us");
+            build_histogram.record(build_us);
+            cache.store_entry(state_->hash, state_->key, *kernel);
+        } catch (...) {
+            kernel = nullptr;
+            error = std::current_exception();
+        }
+        cache.complete_request(*state_, std::move(kernel), error, false, false);
+    }
+    {
+        Annotated_lock lock(state_->mutex);
+        if (!state_->done && state_->claimed) {
+            const bool tracing = telemetry::Trace_recorder::instance().enabled();
+            const telemetry::Trace_span span(
+                "kernel_cache.wait", "cache",
+                tracing ? telemetry::arg("hash", state_->hash) : std::string());
+            while (!state_->done && state_->claimed) state_->cv.wait(lock);
+        }
+        if (state_->done) {
+            if (state_->error) std::rethrow_exception(state_->error);
+            return state_->result;
+        }
+    }
+    // The claiming request was dropped before publishing: resolve here.
+    return get();
+}
+
+std::shared_ptr<const Kernel_grid> Kernel_cache::Async_request::get() {
+    lookup();
+    for (std::size_t k = 0; k < chunk_count(); ++k) run_chunk(k);
+    return publish();
+}
+
+std::shared_ptr<const Kernel_grid> Kernel_cache::load_entry(const std::string& hash,
+                                                            const std::string& key,
+                                                            bool& migrated) {
+    if (directory_.empty() || read_text_file(sidecar_path(hash)) != key) return nullptr;
+    // The sidecar is written after the kernel file, so a matching key
+    // promises a complete entry; a corrupt or invariant-violating file
+    // still only costs a rebuild. New entries are binary; legacy caches
+    // hold CSVs — serve either, preferring the binary when both exist
+    // (mid-migration).
+    std::error_code ec;
+    const std::string binary = binary_entry_path(hash);
+    bool is_legacy = !std::filesystem::exists(binary, ec);
+    std::string entry = is_legacy ? legacy_entry_path(hash) : binary;
+    try {
+        std::shared_ptr<const Kernel_grid> kernel;
+        try {
+            kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
+        } catch (const std::exception& e) {
+            // A torn mid-migration binary (process killed between opening
+            // the .bin and its flush) must not shadow the still-valid CSV
+            // sitting next to it: fall back, and let the migration below
+            // overwrite the torn file.
+            if (is_legacy || !std::filesystem::exists(legacy_entry_path(hash), ec)) throw;
+            std::fprintf(stderr,
+                         "Kernel_cache: unreadable binary entry %s (%s); falling back to "
+                         "the legacy CSV\n",
+                         entry.c_str(), e.what());
+            is_legacy = true;
+            entry = legacy_entry_path(hash);
+            kernel = std::make_shared<const Kernel_grid>(read_kernel_file(entry));
+        }
+        bool stored = false;
+        if (!limits_.read_only) {
+            if (is_legacy) {
+                // Opportunistic upgrade: a writable owner rewrites a legacy
+                // entry in the binary format the first time it is touched,
+                // so old caches converge without a separate migration pass.
+                stored = migrate_legacy_entry(hash, *kernel);
+                migrated = stored;
+            } else if (std::filesystem::exists(legacy_entry_path(hash), ec)) {
+                // A migration that died between writing the binary and
+                // dropping the CSV left both behind; the binary just read
+                // fine, so finish the job.
+                std::filesystem::remove(legacy_entry_path(hash), ec);
+                stored = true;  // re-account the shrunken footprint
+            }
+        }
+        touch_manifest(hash, key, stored);
+        return kernel;
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "Kernel_cache: discarding unreadable entry %s (%s)\n",
+                     entry.c_str(), e.what());
+        return nullptr;
+    }
+}
+
+void Kernel_cache::store_entry(const std::string& hash, const std::string& key,
+                               const Kernel_grid& kernel) {
+    if (directory_.empty() || limits_.read_only) return;
+    // A full disk or unwritable directory degrades to memory-only caching
+    // instead of sinking the run. The sidecar commit marker is only
+    // written after the kernel file lands completely, and a torn kernel
+    // file is removed, so no failure mode publishes a corrupt entry.
+    try {
+        write_kernel_file(binary_entry_path(hash), kernel, Kernel_format::binary);
+        {
+            std::ofstream sidecar(sidecar_path(hash), std::ios::binary | std::ios::trunc);
+            sidecar << key;
+            sidecar.flush();
+            if (!sidecar) throw std::runtime_error("cannot write '" + sidecar_path(hash) + "'");
+        }
+        touch_manifest(hash, key, /*stored=*/true);
+    } catch (const std::exception& e) {
+        std::error_code ec;
+        std::filesystem::remove(sidecar_path(hash), ec);
+        std::filesystem::remove(binary_entry_path(hash), ec);
+        std::fprintf(stderr, "Kernel_cache: could not persist entry: %s\n", e.what());
+    }
+}
+
+void Kernel_cache::complete_request(Kernel_cache_request_state& state,
+                                    std::shared_ptr<const Kernel_grid> kernel,
+                                    std::exception_ptr error, bool from_disk, bool migrated) {
     if (kernel) {
         static telemetry::Counter& disk_hits = telemetry::counter("kernel_cache.disk_hits");
         static telemetry::Counter& builds = telemetry::counter("kernel_cache.builds");
@@ -539,17 +611,17 @@ void Kernel_cache::resolve_request(const std::shared_ptr<Kernel_cache_request_st
             if (migrated) ++stats_.migrations;
             // emplace keeps an entry another resolution may have inserted
             // first; publish the map's copy so all callers share one grid.
-            kernel = memory_.emplace(key, std::move(kernel)).first->second;
+            kernel = memory_.emplace(state.key, std::move(kernel)).first->second;
         }
-        inflight_.erase(key);
+        inflight_.erase(state.key);
     }
     {
-        const Annotated_lock lock(state->mutex);
-        state->result = std::move(kernel);
-        state->error = error;
-        state->done = true;
+        const Annotated_lock lock(state.mutex);
+        state.result = std::move(kernel);
+        state.error = error;
+        state.done = true;
     }
-    state->cv.notify_all();
+    state.cv.notify_all();
 }
 
 std::shared_ptr<const Kernel_grid> Kernel_cache::get_or_build(

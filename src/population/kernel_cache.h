@@ -79,6 +79,10 @@ struct Kernel_cache_limits {
 /// defined in kernel_cache.cpp).
 struct Kernel_cache_request_state;
 
+/// The chunked build a request claimed at lookup (opaque; defined in
+/// kernel_cache.cpp).
+struct Kernel_cache_claimed_build;
+
 /// One manifest row: a disk entry with its provenance and recency.
 struct Kernel_cache_entry_info {
     std::string hash;          ///< fixed-width hex file stem
@@ -120,24 +124,53 @@ class Kernel_cache {
     explicit Kernel_cache(std::string directory, Kernel_cache_limits limits = {});
 
     /// Deferred, deduplicated handle to one kernel resolution, returned
-    /// by get_or_build_async. The request does no work until get(): the
-    /// first caller to get() performs the disk load / simulation on its
-    /// own thread; every concurrent request for the same key shares that
-    /// one resolution — get() blocks until it lands and returns the same
-    /// grid (or rethrows the resolution's exception). This is what lets
-    /// a task scheduler start condition k+1's kernel while condition k
-    /// solves, without two nodes ever running the same simulation twice.
+    /// by get_or_build_async. The request does no work until it is
+    /// resolved, in three steps a scheduler can run as separate tasks:
+    ///
+    ///  1. lookup() — cheap. The first request of a key to look up claims
+    ///     the key's resolution: it serves a disk hit on the spot, or sets
+    ///     up a chunked build (Kernel_build). Memory hits were served at
+    ///     issue time, and a request that finds the resolution claimed by
+    ///     another simply joins it.
+    ///  2. run_chunk(k) for every k < chunk_count() — the Monte-Carlo
+    ///     work; safe to call concurrently for distinct k, and a no-op
+    ///     unless this request's lookup claimed a build.
+    ///  3. publish() — the claiming request merges the chunks, stores the
+    ///     entry on disk, fills the memory map and wakes every joiner;
+    ///     any other request waits for that and returns the same grid (or
+    ///     rethrows the resolution's exception).
+    ///
+    /// get() runs the three steps serially on the calling thread. Every
+    /// request for one key shares one resolution, so two nodes never run
+    /// the same simulation twice. A request destroyed after claiming a
+    /// build but before publishing hands the claim back: a joiner still
+    /// waiting, or the next request to look up, resolves the key itself.
     class Async_request {
       public:
-        Async_request() = default;
+        Async_request();
+        ~Async_request();
+        Async_request(Async_request&&) noexcept;
 
-        /// Resolve (first caller) or wait for the shared resolution.
-        /// The cache and the volume model passed to get_or_build_async
-        /// must outlive this call. Each request carries its own copy of
-        /// the build inputs (equal keys imply equal inputs), so a
-        /// request that is dropped without get() is inert — it can
-        /// never be dereferenced by a later request joining the same
-        /// key, which simply performs the resolution itself.
+        /// Founder chunks of a claimed build (Kernel_build::chunk_count()).
+        static constexpr std::size_t chunk_count() { return Kernel_build::chunk_count(); }
+
+        /// Step 1 (see the class comment). Idempotent. The cache and the
+        /// volume model passed to get_or_build_async must outlive every
+        /// step. Each request carries its own copy of the build inputs
+        /// (equal keys imply equal inputs), so a request dropped without
+        /// resolving is inert: nothing of it is dereferenced by a later
+        /// request joining the same key.
+        void lookup();
+
+        /// Step 2: chunk k of the build this request claimed, else nothing.
+        /// A chunk's exception is kept and rethrown by publish().
+        void run_chunk(std::size_t k);
+
+        /// Step 3 (see the class comment). Waiting requests block until
+        /// the resolution lands.
+        std::shared_ptr<const Kernel_grid> publish();
+
+        /// lookup(), every chunk in order, publish().
         std::shared_ptr<const Kernel_grid> get();
 
         bool valid() const { return state_ != nullptr; }
@@ -145,12 +178,14 @@ class Kernel_cache {
       private:
         friend class Kernel_cache;
         std::shared_ptr<Kernel_cache_request_state> state_;
-        /// This request's own build inputs, used only if its get() ends
-        /// up executing the resolution (volume is borrowed until then).
+        /// This request's own build inputs, used only if its lookup claims
+        /// the resolution (volume is borrowed until then).
         Cell_cycle_config config_;
         const Volume_model* volume_ = nullptr;
         Vector times_;
         Kernel_build_options options_;
+        /// The build this request claimed, from lookup() until publish().
+        std::unique_ptr<Kernel_cache_claimed_build> build_;
     };
 
     /// The kernel for the given inputs: in-memory entry if present, else a
@@ -197,12 +232,13 @@ class Kernel_cache {
     static std::string manifest_path(const std::string& directory);
 
     /// Canonical key string: every input the simulation output depends on,
-    /// doubles printed round-trip exactly. Equal keys <=> bit-identical
-    /// kernels (the simulator is seeded and deterministic). The
-    /// `cellsync-kernel-v2` prefix names the simulator's realization
-    /// (per-cell counter streams); entries written under an older prefix
-    /// never match, so a cache never serves a kernel from another
-    /// realization.
+    /// doubles printed round-trip exactly, plus Kernel_build's founder
+    /// chunk count, which fixes each bin's summation order. Equal keys <=>
+    /// bit-identical kernels (the simulator is seeded and deterministic).
+    /// The `cellsync-kernel-v3` prefix names the realization: per-cell
+    /// counter streams (v2), histogrammed in founder chunks merged in
+    /// chunk order (v3). Entries written under an older prefix never
+    /// match, so a cache never serves a kernel from another realization.
     static std::string cache_key(const Cell_cycle_config& config,
                                  const Volume_model& volume_model, const Vector& times,
                                  const Kernel_build_options& options);
@@ -211,8 +247,6 @@ class Kernel_cache {
     static std::string key_hash(const std::string& key);
 
   private:
-    friend struct Kernel_cache_request_state;
-
     std::string binary_entry_path(const std::string& hash) const;
     std::string legacy_entry_path(const std::string& hash) const;
     std::string sidecar_path(const std::string& hash) const;
@@ -228,13 +262,21 @@ class Kernel_cache {
     /// just touched). Never throws: manifest I/O failures degrade to a
     /// stale manifest, not a failed lookup. No-op in read-only mode.
     void touch_manifest(const std::string& hash, const std::string& key, bool stored);
-    /// Execute a deferred request's disk load / simulation with the
-    /// executing request's own inputs, publish the grid into the memory
-    /// map, update the counters, and wake every waiter sharing the
-    /// request state.
-    void resolve_request(const std::shared_ptr<Kernel_cache_request_state>& state,
-                         const Cell_cycle_config& config, const Volume_model& volume_model,
-                         const Vector& times, const Kernel_build_options& options);
+    /// The disk half of a claimed lookup: the entry stored under `hash`
+    /// whose sidecar holds `key`, or null (missing, stale or unreadable).
+    /// Migrates a legacy CSV entry and touches the manifest on a hit.
+    std::shared_ptr<const Kernel_grid> load_entry(const std::string& hash,
+                                                  const std::string& key, bool& migrated);
+    /// Persist a fresh build (writable directories only; a failure
+    /// degrades to memory-only caching).
+    void store_entry(const std::string& hash, const std::string& key,
+                     const Kernel_grid& kernel);
+    /// Land a claimed resolution: count it, publish the grid into the
+    /// memory map (or keep `error`), drop the in-flight entry, and wake
+    /// every request sharing the state.
+    void complete_request(Kernel_cache_request_state& state,
+                          std::shared_ptr<const Kernel_grid> kernel, std::exception_ptr error,
+                          bool from_disk, bool migrated);
 
     std::string directory_;
     Kernel_cache_limits limits_;

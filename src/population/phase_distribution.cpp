@@ -45,6 +45,14 @@ Phase_histogram::Phase_histogram(std::size_t bins) : weights_(bins, 0.0) {
     scale_ = static_cast<double>(bins);
 }
 
+void Phase_histogram::merge(const Phase_histogram& other) {
+    if (other.weights_.size() != weights_.size()) {
+        throw std::invalid_argument("Phase_histogram::merge: bin count mismatch");
+    }
+    for (std::size_t b = 0; b < weights_.size(); ++b) weights_[b] += other.weights_[b];
+    total_ += other.total_;
+}
+
 Phase_density Phase_histogram::density() const {
     if (total_ <= 0.0) throw std::invalid_argument("phase density: non-positive total weight");
     const std::size_t bins = weights_.size();

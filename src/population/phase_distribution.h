@@ -60,6 +60,12 @@ class Phase_histogram {
         total_ += weight;
     }
 
+    /// Add every bin and the total of `other`, which must have the same
+    /// bin count (std::invalid_argument otherwise): the histograms of
+    /// disjoint cell sets merge into their union's, up to the order of
+    /// each bin's sum.
+    void merge(const Phase_histogram& other);
+
     /// The normalized density of everything added so far. Throws
     /// std::invalid_argument for a non-positive total weight.
     Phase_density density() const;

@@ -6,13 +6,21 @@ namespace cellsync {
 
 Population_simulator::Population_simulator(const Cell_cycle_config& config,
                                            std::size_t initial_cells, std::uint64_t seed)
-    : config_(config) {
-    config_.validate();
+    : Population_simulator(config, Founder_range{0, initial_cells}, seed) {
     if (initial_cells == 0) {
         throw std::invalid_argument("Population_simulator: need at least one initial cell");
     }
-    cells_.reserve(initial_cells * 2);
-    for (std::size_t i = 0; i < initial_cells; ++i) {
+}
+
+Population_simulator::Population_simulator(const Cell_cycle_config& config,
+                                           Founder_range founders, std::uint64_t seed)
+    : config_(config) {
+    config_.validate();
+    if (founders.begin > founders.end) {
+        throw std::invalid_argument("Population_simulator: founder range begins after it ends");
+    }
+    cells_.reserve((founders.end - founders.begin) * 2);
+    for (std::size_t i = founders.begin; i < founders.end; ++i) {
         Simulated_cell cell;
         cell.key = mix_seed(seed, i);
         Counter_stream stream(cell.key);

@@ -50,6 +50,13 @@ struct Snapshot_entry {
     double relative_volume = 0.0;  ///< v(phi)/V0 under the chosen volume model
 };
 
+/// Founders [begin, end) of a population: a slice of the founder index
+/// range that keeps each founder's key mix_seed(seed, i).
+struct Founder_range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
 /// Forward-only population simulator.
 class Population_simulator {
   public:
@@ -57,6 +64,15 @@ class Population_simulator {
     /// initial-phase mode. Throws std::invalid_argument for zero cells or
     /// an invalid config.
     Population_simulator(const Cell_cycle_config& config, std::size_t initial_cells,
+                         std::uint64_t seed);
+
+    /// The sub-population descended from founders [begin, end) of the
+    /// population seeded `seed`. Founder i keeps its key mix_seed(seed, i),
+    /// so the simulators of a partition of [0, n) hold, at every time,
+    /// exactly the cells of the n-founder population between them. An
+    /// empty range is an empty population. Throws std::invalid_argument
+    /// for begin > end or an invalid config.
+    Population_simulator(const Cell_cycle_config& config, Founder_range founders,
                          std::uint64_t seed);
 
     /// Advance the simulation clock (monotonically) to `t_minutes`,

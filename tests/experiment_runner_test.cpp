@@ -225,6 +225,57 @@ TEST(ExperimentRunner, PipelinedMatchesSequentialBitForBit) {
     }
 }
 
+TEST(ExperimentRunner, PipelinedKernelsEqualBuildKernelAtAnyThreadCount) {
+    // The graph spreads each build's founder chunks over the workers; the
+    // kernel is build_kernel's, bit for bit, at every thread count.
+    for (const std::size_t threads : {1u, 3u, 4u}) {
+        Experiment_spec spec = make_spec();
+        spec.threads = threads;
+        Kernel_cache cache;
+        const Experiment_result result = run_experiment(spec, Smooth_volume_model{}, cache);
+        for (std::size_t c = 0; c < spec.conditions.size(); ++c) {
+            const Kernel_grid expected =
+                build_kernel(spec.conditions[c].cell_cycle, Smooth_volume_model{},
+                             spec.conditions[c].panel.front().times, spec.kernel);
+            ASSERT_NE(result.conditions[c].kernel, nullptr);
+            EXPECT_EQ(result.conditions[c].kernel->q().data(), expected.q().data())
+                << "threads " << threads << " condition " << c;
+        }
+    }
+}
+
+TEST(ExperimentRunner, ConditionsSharingAKeyResolveOnceAtOneAndFourThreads) {
+    // Two conditions with one kernel key: the second joins the first's
+    // resolution (a memory hit), its publish waits on the first's, and
+    // the run neither deadlocks nor builds twice — cold or from disk.
+    const std::string dir = testing::TempDir() + "cellsync_experiment_runner_shared_key";
+    std::filesystem::remove_all(dir);
+    Experiment_spec spec = make_spec();
+    spec.conditions = {spec.conditions[0], spec.conditions[2]};  // wildtype, repeat
+    std::vector<Experiment_result> results;
+    for (const std::size_t threads : {1u, 4u}) {
+        spec.threads = threads;
+        Kernel_cache memory_only;
+        const Experiment_result cold = run_experiment(spec, Smooth_volume_model{}, memory_only);
+        EXPECT_EQ(cold.cache_stats.builds, 1u) << threads;
+        EXPECT_EQ(cold.cache_stats.memory_hits, 1u) << threads;
+        EXPECT_EQ(cold.cache_stats.disk_hits, 0u) << threads;
+        EXPECT_EQ(cold.conditions[0].kernel.get(), cold.conditions[1].kernel.get());
+
+        Kernel_cache writer(dir);
+        run_experiment(spec, Smooth_volume_model{}, writer);
+        Kernel_cache reader(dir);
+        const Experiment_result warm = run_experiment(spec, Smooth_volume_model{}, reader);
+        EXPECT_EQ(warm.cache_stats.builds, 0u) << threads;
+        EXPECT_EQ(warm.cache_stats.disk_hits, 1u) << threads;
+        EXPECT_EQ(warm.cache_stats.memory_hits, 1u) << threads;
+        expect_bit_identical_genes(cold, warm);
+        results.push_back(cold);
+    }
+    expect_bit_identical_genes(results[0], results[1]);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ExperimentRunner, CacheStatsArePerRunDeltas) {
     // A long-lived cache reused across runs must not leak earlier runs'
     // counters into a later result (the old documented quirk): the second

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "population/phase_distribution.h"
 #include "spline/spline_basis.h"
@@ -185,9 +188,44 @@ TEST(BuildKernel, DeterministicGivenSeed) {
     }
 }
 
-TEST(BuildKernel, FusedHistogramMatchesSnapshotDensityBitwise) {
-    // build_kernel histograms live cells directly; it must give exactly
-    // the rows phase_volume_density gives on the materialized snapshot.
+/// The oracle: the single-population build that founder chunks replaced.
+/// One simulator holds all n_cells founders, and each time's histogram
+/// is filled during its division scan.
+Kernel_grid single_population_kernel(const Cell_cycle_config& config,
+                                     const Volume_model& volume_model, const Vector& times,
+                                     const Kernel_build_options& options) {
+    Population_simulator sim(config, options.n_cells, options.seed);
+    Matrix q(times.size(), options.n_bins);
+    Vector centers;
+    for (std::size_t m = 0; m < times.size(); ++m) {
+        Phase_histogram histogram(options.n_bins);
+        sim.advance_to(times[m], [&](const Simulated_cell& cell) {
+            const double phi = cell.phase_at(times[m]);
+            histogram.add(phi, volume_model.relative_volume(phi, cell.params.phi_sst));
+        });
+        Phase_density d = histogram.density();
+        q.set_row(m, d.density);
+        if (m == 0) centers = std::move(d.bin_centers);
+    }
+    return Kernel_grid(times, centers, std::move(q));
+}
+
+/// Largest per-entry |a - b| / |b| (entries equal to 0 in both count 0).
+double max_relative_difference(const Kernel_grid& a, const Kernel_grid& b) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < a.q().data().size(); ++i) {
+        const double x = a.q().data()[i];
+        const double y = b.q().data()[i];
+        if (x == y) continue;
+        worst = std::max(worst, std::abs(x - y) / std::abs(y));
+    }
+    return worst;
+}
+
+TEST(BuildKernel, OracleHistogramMatchesSnapshotDensityBitwise) {
+    // The oracle histograms live cells during the division scan; it gives
+    // exactly the rows phase_volume_density gives on the materialized
+    // snapshot.
     const Vector times{0.0, 37.5, 90.0, 151.0, 240.0};
     const Kernel_build_options options = small_options();
     Cell_cycle_config config;
@@ -196,7 +234,7 @@ TEST(BuildKernel, FusedHistogramMatchesSnapshotDensityBitwise) {
     const Linear_volume_model linear;
     for (const Volume_model* vm : {static_cast<const Volume_model*>(&smooth),
                                    static_cast<const Volume_model*>(&linear)}) {
-        const Kernel_grid fused = build_kernel(config, *vm, times, options);
+        const Kernel_grid fused = single_population_kernel(config, *vm, times, options);
         Population_simulator sim(config, options.n_cells, options.seed);
         Matrix q(times.size(), options.n_bins);
         Vector centers;
@@ -210,6 +248,88 @@ TEST(BuildKernel, FusedHistogramMatchesSnapshotDensityBitwise) {
         EXPECT_EQ(fused.phi_centers(), via_snapshot.phi_centers());
         EXPECT_EQ(fused.q().data(), via_snapshot.q().data()) << vm->name();
     }
+}
+
+TEST(BuildKernel, ChunkedBuildMatchesSinglePopulationOracle) {
+    // The chunks hold exactly the oracle's cells, so only each bin's
+    // summation order differs: every entry agrees to rounding, for both
+    // volume models and all three initial-phase modes.
+    const Vector times{0.0, 37.5, 90.0, 151.0, 240.0};
+    const Smooth_volume_model smooth;
+    const Linear_volume_model linear;
+    for (const Initial_phase_mode mode :
+         {Initial_phase_mode::synchronized_swarmers, Initial_phase_mode::all_at_zero,
+          Initial_phase_mode::stationary}) {
+        Cell_cycle_config config;
+        config.initial_mode = mode;
+        for (const Volume_model* vm : {static_cast<const Volume_model*>(&smooth),
+                                       static_cast<const Volume_model*>(&linear)}) {
+            const Kernel_grid chunked = build_kernel(config, *vm, times, small_options());
+            const Kernel_grid oracle =
+                single_population_kernel(config, *vm, times, small_options());
+            EXPECT_EQ(chunked.phi_centers(), oracle.phi_centers());
+            EXPECT_LE(max_relative_difference(chunked, oracle), 1e-12)
+                << vm->name() << " mode " << static_cast<int>(mode);
+        }
+    }
+}
+
+TEST(BuildKernel, FewerCellsThanChunksLeavesEmptyChunks) {
+    // n_cells < chunk_count(): most chunks hold no founder and add nothing.
+    static_assert(Kernel_build::chunk_count() > 5);
+    Kernel_build_options options = small_options();
+    options.n_cells = 5;
+    options.n_bins = 20;
+    const Vector times{0.0, 60.0, 150.0};
+    const Smooth_volume_model vm;
+    const Kernel_grid chunked = build_kernel(Cell_cycle_config{}, vm, times, options);
+    const Kernel_grid oracle = single_population_kernel(Cell_cycle_config{}, vm, times, options);
+    EXPECT_LE(max_relative_difference(chunked, oracle), 1e-12);
+    for (std::size_t m = 0; m < chunked.time_count(); ++m) {
+        double mass = 0.0;
+        for (std::size_t b = 0; b < chunked.bin_count(); ++b) {
+            mass += chunked.q()(m, b) * chunked.bin_width();
+        }
+        EXPECT_NEAR(mass, 1.0, 1e-12) << "time " << times[m];
+    }
+}
+
+TEST(KernelBuild, ChunkOrderAndThreadsDoNotChangeTheBits) {
+    // Chunks run in reverse order, or spread over threads, merge in chunk
+    // order in finish(): the kernel is build_kernel's, bit for bit.
+    const Vector times{0.0, 45.0, 120.0};
+    Cell_cycle_config config;
+    config.initial_mode = Initial_phase_mode::stationary;
+    const Linear_volume_model vm;
+    const Kernel_grid serial = build_kernel(config, vm, times, small_options());
+
+    Kernel_build reversed(config, vm, times, small_options());
+    for (std::size_t k = Kernel_build::chunk_count(); k-- > 0;) reversed.run_chunk(k);
+    EXPECT_EQ(reversed.finish().q().data(), serial.q().data());
+
+    Kernel_build threaded(config, vm, times, small_options());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 3; ++t) {
+        threads.emplace_back([&threaded, t] {
+            for (std::size_t k = t; k < Kernel_build::chunk_count(); k += 3) {
+                threaded.run_chunk(k);
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(threaded.finish().q().data(), serial.q().data());
+}
+
+TEST(KernelBuild, MisuseThrows) {
+    const Smooth_volume_model vm;
+    Kernel_build build(Cell_cycle_config{}, vm, {0.0, 30.0}, small_options());
+    EXPECT_THROW(build.finish(), std::logic_error);
+    EXPECT_THROW(build.run_chunk(Kernel_build::chunk_count()), std::out_of_range);
+    build.run_chunk(0);
+    EXPECT_THROW(build.run_chunk(0), std::logic_error);
+    EXPECT_THROW(build.finish(), std::logic_error);
+    EXPECT_THROW(Kernel_build(Cell_cycle_config{}, vm, {}, small_options()),
+                 std::invalid_argument);
 }
 
 TEST(BuildKernel, ValidationErrors) {

@@ -4,8 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "population/kernel_io.h"
 
@@ -182,27 +184,33 @@ TEST(KernelCache, StaleSidecarKeyIsIgnored) {
     std::filesystem::remove_all(dir);
 }
 
-TEST(KernelCache, EntryUnderV1KeyIsRebuiltNotServed) {
-    // Kernels of the shared-stream simulator were stored under
-    // `cellsync-kernel-v1` keys. Plant one where that simulator put it
-    // (the hash of its v1 key, with a matching sidecar): the per-cell
-    // stream realization must be rebuilt, never served from it.
-    const std::string dir = fresh_dir("v1_key");
+/// Plant `stale` where an older realization stored this lookup's kernel:
+/// under the hash of the current key with its prefix swapped for
+/// `old_prefix` (and without the chunk count v3 added), with a matching
+/// sidecar.
+void plant_old_entry(const std::string& dir, const std::string& old_prefix,
+                     const Cell_cycle_config& config, const Volume_model& vm,
+                     const Vector& times) {
+    std::string key = Kernel_cache::cache_key(config, vm, times, tiny_options());
+    const std::string v3_prefix = "cellsync-kernel-v3;chunks=" +
+                                  std::to_string(Kernel_build::chunk_count()) + ";";
+    ASSERT_EQ(key.rfind(v3_prefix, 0), 0u) << key;
+    key.replace(0, v3_prefix.size(), old_prefix);
+    const std::string hash = Kernel_cache::key_hash(key);
+    std::filesystem::create_directories(dir);
+    const Kernel_grid stale(times, {0.25, 0.75}, Matrix(2, 2, 1.0));
+    write_kernel_file(dir + "/kernel_" + hash + ".bin", stale, Kernel_format::binary);
+    std::ofstream sidecar(dir + "/kernel_" + hash + ".key", std::ios::binary);
+    sidecar << key;
+}
+
+/// An entry planted under an older realization's key is rebuilt, never
+/// served, and the rebuilt entry then serves a fresh cache from disk.
+void expect_old_entry_rebuilt(const std::string& dir, const std::string& old_prefix) {
     const Cell_cycle_config config;
     const Smooth_volume_model vm;
     const Vector times{0.0, 30.0};
-    std::string v1_key = Kernel_cache::cache_key(config, vm, times, tiny_options());
-    const std::string v2_prefix = "cellsync-kernel-v2;";
-    ASSERT_EQ(v1_key.rfind(v2_prefix, 0), 0u) << v1_key;
-    v1_key.replace(0, v2_prefix.size(), "cellsync-kernel-v1;");
-    const std::string v1_hash = Kernel_cache::key_hash(v1_key);
-    std::filesystem::create_directories(dir);
-    const Kernel_grid stale(times, {0.25, 0.75}, Matrix(2, 2, 1.0));
-    write_kernel_file(dir + "/kernel_" + v1_hash + ".bin", stale, Kernel_format::binary);
-    {
-        std::ofstream sidecar(dir + "/kernel_" + v1_hash + ".key", std::ios::binary);
-        sidecar << v1_key;
-    }
+    plant_old_entry(dir, old_prefix, config, vm, times);
 
     Kernel_cache cache(dir);
     const auto served = cache.get_or_build(config, vm, times, tiny_options());
@@ -210,12 +218,24 @@ TEST(KernelCache, EntryUnderV1KeyIsRebuiltNotServed) {
     EXPECT_EQ(cache.stats().disk_hits, 0u);
     expect_bit_identical(*served, build_kernel(config, vm, times, tiny_options()));
 
-    // The rebuilt entry now serves a fresh cache from disk.
     Kernel_cache reader(dir);
     expect_bit_identical(*reader.get_or_build(config, vm, times, tiny_options()), *served);
     EXPECT_EQ(reader.stats().disk_hits, 1u);
     EXPECT_EQ(reader.stats().builds, 0u);
     std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, EntryUnderV1KeyIsRebuiltNotServed) {
+    // Kernels of the shared-stream simulator were stored under
+    // `cellsync-kernel-v1` keys.
+    expect_old_entry_rebuilt(fresh_dir("v1_key"), "cellsync-kernel-v1;");
+}
+
+TEST(KernelCache, EntryUnderV2KeyIsRebuiltNotServed) {
+    // Kernels of the single-population build (per-cell streams, one
+    // histogram per time) were stored under `cellsync-kernel-v2` keys;
+    // their bytes differ from the founder-chunked build's by rounding.
+    expect_old_entry_rebuilt(fresh_dir("v2_key"), "cellsync-kernel-v2;");
 }
 
 TEST(KernelCache, EmptyDirectoryRejected) {
@@ -242,7 +262,7 @@ TEST(KernelCache, ManifestTracksEntriesBytesAndRecency) {
         << manifest.entries[0].key;
     for (const Kernel_cache_entry_info& entry : manifest.entries) {
         EXPECT_GT(entry.bytes, 0u);
-        EXPECT_NE(entry.key.find("cellsync-kernel-v2"), std::string::npos);
+        EXPECT_NE(entry.key.find("cellsync-kernel-v3"), std::string::npos);
     }
 
     // A disk hit from a fresh instance bumps the entry's recency.
@@ -443,6 +463,151 @@ TEST(KernelCache, AsyncGetBlocksJoinersUntilTheExecutorFinishes) {
     EXPECT_EQ(cache.stats().builds, 1u);
 }
 
+/// Resolve `request` the way a task graph does: lookup, the chunks in
+/// reverse order over three threads, publish.
+std::shared_ptr<const Kernel_grid> resolve_in_steps(Kernel_cache::Async_request& request) {
+    request.lookup();
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 3; ++t) {
+        threads.emplace_back([&request, t] {
+            for (std::size_t k = Kernel_cache::Async_request::chunk_count(); k-- > 0;) {
+                if (k % 3 == t) request.run_chunk(k);
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    return request.publish();
+}
+
+TEST(KernelCache, StepwiseResolutionMatchesGetAndServesDiskHitsAtLookup) {
+    const std::string dir = fresh_dir("stepwise");
+    const Cell_cycle_config config;
+    const Linear_volume_model vm;
+    const Vector times{0.0, 30.0, 75.0};
+    {
+        Kernel_cache cache(dir);
+        Kernel_cache::Async_request request =
+            cache.get_or_build_async(config, vm, times, tiny_options());
+        const auto kernel = resolve_in_steps(request);
+        expect_bit_identical(*kernel, build_kernel(config, vm, times, tiny_options()));
+        EXPECT_EQ(cache.stats().builds, 1u);
+        // Publishing again (or from a joiner issued later) returns the
+        // same grid without another build.
+        EXPECT_EQ(request.publish().get(), kernel.get());
+        EXPECT_EQ(cache.get_or_build(config, vm, times, tiny_options()).get(), kernel.get());
+        EXPECT_EQ(cache.stats().builds, 1u);
+    }
+    Kernel_cache reader(dir);
+    Kernel_cache::Async_request request =
+        reader.get_or_build_async(config, vm, times, tiny_options());
+    request.lookup();
+    EXPECT_EQ(reader.stats().disk_hits, 1u);  // served at lookup, before any chunk
+    const auto kernel = resolve_in_steps(request);
+    expect_bit_identical(*kernel, build_kernel(config, vm, times, tiny_options()));
+    EXPECT_EQ(reader.stats().builds, 0u);
+    EXPECT_THROW(request.run_chunk(Kernel_cache::Async_request::chunk_count()),
+                 std::out_of_range);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, ReadOnlyMissBuildsInStepsWithoutWriting) {
+    const std::string dir = fresh_dir("readonly_miss");
+    std::filesystem::create_directories(dir);
+    Kernel_cache_limits limits;
+    limits.read_only = true;
+    Kernel_cache fleet(dir, limits);
+    const Cell_cycle_config config;
+    const Smooth_volume_model vm;
+    const Vector times{0.0, 30.0};
+    Kernel_cache::Async_request request =
+        fleet.get_or_build_async(config, vm, times, tiny_options());
+    const auto kernel = resolve_in_steps(request);
+    expect_bit_identical(*kernel, build_kernel(config, vm, times, tiny_options()));
+    EXPECT_EQ(fleet.stats().builds, 1u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    EXPECT_EQ(fleet.get_or_build(config, vm, times, tiny_options()).get(), kernel.get());
+    EXPECT_EQ(fleet.stats().memory_hits, 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, JoinerPublishWaitsForTheClaimedChunks) {
+    Kernel_cache cache;
+    const Cell_cycle_config config;
+    const Smooth_volume_model vm;
+    const Vector times{0.0, 30.0, 60.0};
+    Kernel_cache::Async_request a = cache.get_or_build_async(config, vm, times, tiny_options());
+    Kernel_cache::Async_request b = cache.get_or_build_async(config, vm, times, tiny_options());
+    a.lookup();
+    b.lookup();  // finds the resolution claimed: joins it
+    b.run_chunk(0);  // a joiner's chunks do nothing
+    std::shared_ptr<const Kernel_grid> from_joiner;
+    std::thread joiner([&] { from_joiner = b.publish(); });
+    for (std::size_t k = 0; k < Kernel_cache::Async_request::chunk_count(); ++k) {
+        a.run_chunk(k);
+    }
+    const auto from_claimer = a.publish();
+    joiner.join();
+    EXPECT_EQ(from_joiner.get(), from_claimer.get());
+    EXPECT_EQ(cache.stats().builds, 1u);
+    EXPECT_EQ(cache.stats().memory_hits, 1u);
+}
+
+TEST(KernelCache, DroppedClaimIsTakenOverByAWaitingJoiner) {
+    // A request that claimed a build and is destroyed before publishing
+    // (an unwound graph) hands the claim back: the joiner blocked in
+    // publish() resolves the key itself.
+    Kernel_cache cache;
+    const Cell_cycle_config config;
+    const Smooth_volume_model vm;
+    const Vector times{0.0, 30.0};
+    std::optional<Kernel_cache::Async_request> joined;
+    std::shared_ptr<const Kernel_grid> from_joiner;
+    std::thread waiter;
+    {
+        Kernel_cache::Async_request claimer =
+            cache.get_or_build_async(config, vm, times, tiny_options());
+        joined.emplace(cache.get_or_build_async(config, vm, times, tiny_options()));
+        claimer.lookup();
+        claimer.run_chunk(3);
+        waiter = std::thread([&] { from_joiner = joined->publish(); });
+    }
+    waiter.join();
+    ASSERT_NE(from_joiner, nullptr);
+    expect_bit_identical(*from_joiner, build_kernel(config, vm, times, tiny_options()));
+    EXPECT_EQ(cache.stats().builds, 1u);
+}
+
+/// A model whose relative volume throws for every cell: a chunk of a
+/// build fails inside the simulation.
+class Throwing_volume_model final : public Volume_model {
+  public:
+    double relative_volume(double, double) const override {
+        throw std::runtime_error("volume model failure");
+    }
+    double derivative(double, double) const override { return 0.0; }
+    std::string name() const override { return "throwing"; }
+};
+
+TEST(KernelCache, ChunkErrorReachesEveryRequestAndIsNotCached) {
+    Kernel_cache cache;
+    const Throwing_volume_model vm;
+    const Vector times{0.0, 30.0};
+    Kernel_cache::Async_request a =
+        cache.get_or_build_async(Cell_cycle_config{}, vm, times, tiny_options());
+    Kernel_cache::Async_request b =
+        cache.get_or_build_async(Cell_cycle_config{}, vm, times, tiny_options());
+    a.lookup();
+    for (std::size_t k = 0; k < Kernel_cache::Async_request::chunk_count(); ++k) {
+        EXPECT_NO_THROW(a.run_chunk(k));  // kept for publish()
+    }
+    EXPECT_THROW(a.publish(), std::runtime_error);
+    EXPECT_THROW(b.publish(), std::runtime_error);
+    EXPECT_EQ(cache.stats().builds, 0u);
+    // The failed resolution left nothing in flight: a new request retries.
+    EXPECT_THROW(cache.get_or_build(Cell_cycle_config{}, vm, times, tiny_options()),
+                 std::runtime_error);
+}
+
 // A pre-upgrade cache directory: kernel CSVs + sidecars, as written by
 // the versions that stored entries in the CSV format.
 std::string make_legacy_entry(const std::string& dir, const Cell_cycle_config& config,
@@ -636,7 +801,7 @@ TEST(KernelCache, MissingManifestIsRebuiltFromSidecars) {
     const Kernel_cache_manifest manifest = cache.manifest();
     ASSERT_EQ(manifest.entries.size(), 1u);
     EXPECT_GT(manifest.entries[0].bytes, 0u);
-    EXPECT_NE(manifest.entries[0].key.find("cellsync-kernel-v2"), std::string::npos);
+    EXPECT_NE(manifest.entries[0].key.find("cellsync-kernel-v3"), std::string::npos);
     // The rebuilt manifest still serves the disk entry.
     cache.get_or_build(config, vm, {0.0, 30.0}, tiny_options());
     EXPECT_EQ(cache.stats().disk_hits, 1u);

@@ -162,6 +162,41 @@ TEST(PopulationSimulator, AdvanceScheduleDoesNotChangeTheRealization) {
     }
 }
 
+TEST(PopulationSimulator, FounderRangesPartitionThePopulation) {
+    // Founder i keeps its key mix_seed(seed, i) in any range, so the
+    // simulators of a partition of [0, n) (one of them empty) hold
+    // exactly the whole population's cells between them.
+    Cell_cycle_config config;
+    config.initial_mode = Initial_phase_mode::stationary;
+    const std::size_t n = 2000;
+    Population_simulator whole(config, n, 21);
+    whole.advance_to(330.0);
+    std::vector<Simulated_cell> pieces;
+    const std::size_t bounds[] = {0, 0, 1, 700, 701, 1999, n};
+    for (std::size_t r = 0; r + 1 < std::size(bounds); ++r) {
+        Population_simulator part(config, Founder_range{bounds[r], bounds[r + 1]}, 21);
+        if (bounds[r] == bounds[r + 1]) EXPECT_EQ(part.size(), 0u);
+        part.advance_to(330.0);
+        pieces.insert(pieces.end(), part.cells().begin(), part.cells().end());
+    }
+    auto sorted = [](std::vector<Simulated_cell> cells) {
+        std::sort(cells.begin(), cells.end(),
+                  [](const Simulated_cell& a, const Simulated_cell& b) { return a.key < b.key; });
+        return cells;
+    };
+    const std::vector<Simulated_cell> a = sorted(whole.cells());
+    const std::vector<Simulated_cell> b = sorted(pieces);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].key, b[i].key);
+        EXPECT_EQ(a[i].birth_time, b[i].birth_time);
+        EXPECT_EQ(a[i].birth_phase, b[i].birth_phase);
+        EXPECT_EQ(a[i].params.phi_sst, b[i].params.phi_sst);
+        EXPECT_EQ(a[i].params.cycle_minutes, b[i].params.cycle_minutes);
+    }
+    EXPECT_THROW(Population_simulator(config, Founder_range{5, 4}, 21), std::invalid_argument);
+}
+
 TEST(SimulatedCell, DivisionTimeArithmetic) {
     Simulated_cell c;
     c.birth_time = 10.0;

@@ -1071,6 +1071,7 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
         const bool closed_grid =
             phi.size() > 2 && phi.front() == 0.0 && phi.back() == 1.0;
         if (closed_grid) phi.pop_back();
+        const Phase_circle circle = phase_circle(phi);
         const std::vector<std::pair<std::string, double>> lambdas =
             read_lambda_comments(path);
         std::vector<Profile_report> profiles;
@@ -1087,7 +1088,7 @@ int cmd_report(const Cli_options& cli, const std::vector<std::string>& inputs) {
                 if (gene == name) profile.lambda = lambda;
             }
             try {
-                profile.order_parameter = profile_order_parameter(phi, values);
+                profile.order_parameter = circle_order_parameter(circle, values);
                 profile.entropy = profile_entropy(values);
                 profile.positive_mass = true;
                 std::size_t peak = 0;

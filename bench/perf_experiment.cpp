@@ -11,15 +11,25 @@
 //    k's solves, so the pipelined wall time must come in measurably
 //    below the sequential reference while every per-gene estimate stays
 //    bit-identical (asserted by CI from this harness's JSON).
+//
+// Plus the output stage's layer bench: the same profile tables written
+// by write_csv_file one after another (the serial writer every tree
+// has), and by write_profile_files on a pool of 1 and of 4 threads, in
+// two shapes — six `panel_cold_fixed` files (200 genes x 201 rows) and
+// one `stream_panel` file (1000 genes x 201 rows).
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <utility>
 
 #include "biology/gene_profiles.h"
 #include "core/experiment_runner.h"
 #include "core/forward_model.h"
+#include "core/profile_output.h"
+#include "io/csv.h"
 #include "perf_util.h"
 
 namespace {
@@ -264,8 +274,109 @@ void bm_cache_cold_build(benchmark::State& state) {
     }
 }
 
+/// `files` profile tables of `genes` columns on the 201-point phi grid,
+/// with full-precision values of profile magnitude.
+std::vector<Table> profile_tables(std::size_t files, std::size_t genes) {
+    Rng rng(files * 10000 + genes);
+    std::vector<Table> tables(files);
+    for (Table& table : tables) {
+        table.add_column("phi", linspace(0.0, 1.0, 201));
+        for (std::size_t g = 0; g < genes; ++g) {
+            Vector values(201);
+            for (double& v : values) v = rng.uniform(0.0, 5.0);
+            table.add_column("gene" + std::to_string(g), std::move(values));
+        }
+    }
+    return tables;
+}
+
+/// The tables as write_profile_files input: given values, no lambdas.
+std::vector<Profile_file> profile_files(const std::vector<Table>& tables,
+                                        const std::string& dir) {
+    std::vector<Profile_file> files(tables.size());
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+        files[k].path = dir + "/p" + std::to_string(k) + ".csv";
+        files[k].phi = tables[k].column(0);
+        for (std::size_t c = 1; c < tables[k].column_count(); ++c) {
+            files[k].columns.push_back({tables[k].names()[c], nullptr, tables[k].column(c)});
+        }
+    }
+    return files;
+}
+
+std::string profile_dir(const std::string& name) {
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / ("cellsync_perf_" + name)).string();
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/// Args: files, genes.
+void bm_profile_write_csv(benchmark::State& state) {
+    const std::vector<Table> tables = profile_tables(static_cast<std::size_t>(state.range(0)),
+                                                     static_cast<std::size_t>(state.range(1)));
+    const std::string dir = profile_dir("profile_write_csv");
+    for (auto _ : state) {
+        for (std::size_t k = 0; k < tables.size(); ++k) {
+            write_csv_file(dir + "/p" + std::to_string(k) + ".csv", tables[k]);
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/// Args: files, genes, pool threads. Building the input (a copy of the
+/// tables) is outside the timed region.
+void bm_profile_output(benchmark::State& state) {
+    const std::vector<Table> tables = profile_tables(static_cast<std::size_t>(state.range(0)),
+                                                     static_cast<std::size_t>(state.range(1)));
+    const std::string dir = profile_dir("profile_output");
+    Worker_pool pool(static_cast<std::size_t>(state.range(2)));
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<Profile_file> files = profile_files(tables, dir);
+        state.ResumeTiming();
+        write_profile_files(std::move(files), pool);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/// The two writers must agree byte for byte on every benchmarked shape.
+void check_profile_writers(cellsync::bench::Bench_json& json) {
+    const auto slurp = [](const std::string& path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    };
+    std::size_t files = 0;
+    std::size_t identical = 0;
+    for (const auto& [count, genes] : {std::pair<std::size_t, std::size_t>{6, 200}, {1, 1000}}) {
+        const std::vector<Table> tables = profile_tables(count, genes);
+        const std::string dir = profile_dir("profile_check");
+        Worker_pool pool(4);
+        write_profile_files(profile_files(tables, dir), pool);
+        for (std::size_t k = 0; k < tables.size(); ++k) {
+            const std::string path = dir + "/p" + std::to_string(k) + ".csv";
+            const std::string unit_bytes = slurp(path);
+            write_csv_file(path, tables[k]);
+            ++files;
+            if (slurp(path) == unit_bytes) ++identical;
+        }
+        std::filesystem::remove_all(dir);
+    }
+    std::printf("profile output: %zu/%zu files identical to write_csv_file\n\n", identical,
+                files);
+    json.add("profile_output_files", static_cast<double>(files));
+    json.add("profile_output_identical_files", static_cast<double>(identical));
+}
+
 }  // namespace
 
+BENCHMARK(bm_profile_write_csv)->Args({6, 200})->Args({1, 1000})->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_profile_output)
+    ->Args({6, 200, 1})
+    ->Args({6, 200, 4})
+    ->Args({1, 1000, 1})
+    ->Args({1, 1000, 4})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_cache_memory_hit)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_cache_disk_hit)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_cache_cold_build)->Unit(benchmark::kMillisecond);
@@ -274,18 +385,23 @@ int main(int argc, char** argv) {
     cellsync::bench::Bench_json json("experiment");
     // The comparisons are the expensive part; a --benchmark_filter
     // narrows the run: one lacking "experiment" skips the cache
-    // comparison, one lacking "pipeline" skips the schedule comparison
-    // (CI uses 'bm_cache_memory_hit' for micro-only smoke and
-    // 'pipeline_comparison_only' for the schedule bit-identity smoke).
+    // comparison, one lacking "pipeline" skips the schedule comparison,
+    // one lacking "profile" skips the output writers' byte check
+    // (CI uses 'bm_cache_memory_hit' for micro-only smoke,
+    // 'pipeline_comparison_only' for the schedule bit-identity smoke and
+    // 'bm_profile_' for the output writers).
     bool want_cache_comparison = true;
     bool want_schedule_comparison = true;
+    bool want_profile_check = true;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--benchmark_filter", 0) == 0) {
             want_cache_comparison = arg.find("experiment") != std::string::npos;
             want_schedule_comparison = arg.find("pipeline") != std::string::npos;
+            want_profile_check = arg.find("profile") != std::string::npos;
         }
     }
+    if (want_profile_check) check_profile_writers(json);
     // Schedule comparison first: it is the tighter measurement (min of
     // repeats on ~100 ms runs) and deserves the fresh process, before the
     // 150k-cell cache comparison grows the allocator.

@@ -172,11 +172,7 @@ Table read_csv_file(const std::string& path) {
     return read_csv(in);
 }
 
-namespace {
-
-/// The strict reader rejects inf/nan, so no writer may emit them: refuse
-/// the whole table before the first byte goes out.
-void require_finite(const Table& table) {
+void csv_require_finite(const Table& table) {
     for (std::size_t c = 0; c < table.column_count(); ++c) {
         const Vector& column = table.column(c);
         for (std::size_t r = 0; r < column.size(); ++r) {
@@ -188,26 +184,46 @@ void require_finite(const Table& table) {
     }
 }
 
-void write_rows(std::ostream& out, const Table& table) {
+void csv_format_header(const Table& table, std::string& out) {
     for (std::size_t c = 0; c < table.column_count(); ++c) {
-        out << (c ? "," : "") << table.names()[c];
+        if (c) out.push_back(',');
+        out += table.names()[c];
     }
-    out << '\n';
+    out.push_back('\n');
+}
+
+void csv_format_rows(const Table& table, std::size_t row_begin, std::size_t row_end,
+                     std::string& out) {
+    if (row_begin > row_end || row_end > table.row_count()) {
+        throw std::out_of_range("csv_format_rows: rows [" + std::to_string(row_begin) + ", " +
+                                std::to_string(row_end) + ") outside the table");
+    }
     // Each value as "%.17g" — the bytes `ostream << setprecision(17)`
-    // wrote — formatted by to_chars into one line buffer: no locale
-    // lookup or stream sentry per value.
-    std::string line;
+    // wrote — formatted by to_chars: no locale lookup or stream sentry
+    // per value.
     char buffer[32];  // "%.17g" needs at most 24: sign, 17 digits, point, "e-308"
-    for (std::size_t r = 0; r < table.row_count(); ++r) {
-        line.clear();
+    for (std::size_t r = row_begin; r < row_end; ++r) {
         for (std::size_t c = 0; c < table.column_count(); ++c) {
-            if (c) line.push_back(',');
+            if (c) out.push_back(',');
             const std::to_chars_result done =
                 std::to_chars(buffer, buffer + sizeof(buffer), table.column(c)[r],
                               std::chars_format::general, 17);
-            line.append(buffer, done.ptr);
+            out.append(buffer, done.ptr);
         }
-        line.push_back('\n');
+        out.push_back('\n');
+    }
+}
+
+namespace {
+
+/// The header, then one formatted line per row.
+void write_rows(std::ostream& out, const Table& table) {
+    std::string line;
+    csv_format_header(table, line);
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    for (std::size_t r = 0; r < table.row_count(); ++r) {
+        line.clear();
+        csv_format_rows(table, r, r + 1, line);
         out.write(line.data(), static_cast<std::streamsize>(line.size()));
     }
 }
@@ -215,12 +231,12 @@ void write_rows(std::ostream& out, const Table& table) {
 }  // namespace
 
 void write_csv(std::ostream& out, const Table& table) {
-    require_finite(table);
+    csv_require_finite(table);
     write_rows(out, table);
 }
 
 void write_csv_file(const std::string& path, const Table& table) {
-    require_finite(table);  // before the open truncates an existing file
+    csv_require_finite(table);  // before the open truncates an existing file
     std::ofstream out(path);
     if (!out) throw std::runtime_error("CSV: cannot open '" + path + "' for writing");
     write_rows(out, table);

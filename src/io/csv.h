@@ -61,10 +61,28 @@ double parse_strict_double(const std::string& text);
 /// std::runtime_error naming the offending text.
 std::uint64_t parse_strict_uint64(const std::string& text);
 
-/// Write a table as CSV (header + rows, '\n' line endings, max precision).
 /// Throws std::runtime_error naming the column and row of the first
-/// non-finite value, before writing anything: every written file reads
-/// back under the strict finite-only parser.
+/// non-finite value (by column, then row): the strict reader rejects
+/// inf/nan, so no writer may emit them.
+void csv_require_finite(const Table& table);
+
+/// Append the header line of `table` to `out`: the column names joined by
+/// ',', then '\n'.
+void csv_format_header(const Table& table, std::string& out);
+
+/// Append rows [row_begin, row_end) of `table` to `out`, each value as
+/// "%.17g" (std::to_chars, no locale), ',' between values and '\n' after
+/// each row. This is the one row formatter: write_csv is the header plus
+/// this over every row, so formatting a table in blocks and concatenating
+/// them gives write_csv's bytes for any block size. The values are not
+/// checked; call csv_require_finite first. Throws std::out_of_range if
+/// row_begin > row_end or row_end > row_count().
+void csv_format_rows(const Table& table, std::size_t row_begin, std::size_t row_end,
+                     std::string& out);
+
+/// Write a table as CSV (header + rows, '\n' line endings, max precision).
+/// Checks csv_require_finite before writing anything: every written file
+/// reads back under the strict finite-only parser.
 void write_csv(std::ostream& out, const Table& table);
 
 /// Write a table to a file. Throws std::runtime_error on a non-finite

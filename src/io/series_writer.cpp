@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "io/csv.h"
 
@@ -11,12 +12,12 @@ Series_writer::Series_writer(std::string axis_name, Vector axis_values) {
     table_.add_column(std::move(axis_name), std::move(axis_values));
 }
 
-Series_writer& Series_writer::add(const std::string& name, const Vector& values) {
+Series_writer& Series_writer::add(std::string name, Vector values) {
     if (!all_finite(values)) {
         throw std::invalid_argument("Series_writer: series '" + name +
                                     "' has a non-finite value");
     }
-    table_.add_column(name, values);
+    table_.add_column(std::move(name), std::move(values));
     return *this;
 }
 

@@ -15,11 +15,11 @@ class Series_writer {
     /// The abscissa column (e.g. "minutes" or "phi").
     Series_writer(std::string axis_name, Vector axis_values);
 
-    /// Add a series; length must match the abscissa and every value must
-    /// be finite (a result file never carries NaN or inf). Throws
-    /// std::invalid_argument on mismatch, duplicate name or a non-finite
-    /// value.
-    Series_writer& add(const std::string& name, const Vector& values);
+    /// Add a series (moved in); length must match the abscissa and every
+    /// value must be finite (a result file never carries NaN or inf).
+    /// Throws std::invalid_argument on mismatch, duplicate name or a
+    /// non-finite value.
+    Series_writer& add(std::string name, Vector values);
 
     /// The accumulated table.
     const Table& table() const { return table_; }

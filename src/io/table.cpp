@@ -1,6 +1,5 @@
 #include "io/table.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cellsync {
@@ -12,6 +11,7 @@ void Table::add_column(std::string name, Vector values) {
     if (!columns_.empty() && values.size() != columns_.front().size()) {
         throw std::invalid_argument("Table: column length mismatch for '" + name + "'");
     }
+    index_.emplace(name, names_.size());
     names_.push_back(std::move(name));
     columns_.push_back(std::move(values));
 }
@@ -22,13 +22,11 @@ const Vector& Table::column(std::size_t i) const {
 }
 
 const Vector& Table::column(const std::string& name) const {
-    const auto it = std::find(names_.begin(), names_.end(), name);
-    if (it == names_.end()) throw std::invalid_argument("Table: no column named '" + name + "'");
-    return columns_[static_cast<std::size_t>(it - names_.begin())];
+    const auto it = index_.find(name);
+    if (it == index_.end()) throw std::invalid_argument("Table: no column named '" + name + "'");
+    return columns_[it->second];
 }
 
-bool Table::has_column(const std::string& name) const {
-    return std::find(names_.begin(), names_.end(), name) != names_.end();
-}
+bool Table::has_column(const std::string& name) const { return index_.contains(name); }
 
 }  // namespace cellsync

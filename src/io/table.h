@@ -2,6 +2,9 @@
 // CSV layer and the analysis layers.
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -9,7 +12,10 @@
 
 namespace cellsync {
 
-/// Named numeric columns of equal length.
+/// Named numeric columns of equal length. Name lookups go through an
+/// ordered index beside the insertion-ordered names, so a genome-scale
+/// panel (thousands of gene and `_sigma` columns) reads and builds in
+/// O(n log n) instead of O(n^2).
 class Table {
   public:
     Table() = default;
@@ -21,6 +27,7 @@ class Table {
     std::size_t column_count() const { return names_.size(); }
     std::size_t row_count() const { return columns_.empty() ? 0 : columns_.front().size(); }
 
+    /// Column names in insertion order.
     const std::vector<std::string>& names() const { return names_; }
 
     /// Column by index. Throws std::out_of_range.
@@ -35,6 +42,7 @@ class Table {
   private:
     std::vector<std::string> names_;
     std::vector<Vector> columns_;
+    std::map<std::string, std::size_t, std::less<>> index_;  ///< name -> column index
 };
 
 }  // namespace cellsync

@@ -156,6 +156,84 @@ TEST(Csv, WriteMatchesStreamFormattingByteForByte) {
     EXPECT_EQ(got.str(), expected.str());
 }
 
+/// Values at the formatter's edges: signed zeros, subnormals, the
+/// fixed/exponent switch of "%.17g" at 1e-5/1e-4 and 1e16/1e17, and a
+/// 17-digit tie.
+Vector format_edge_values() {
+    Vector values = {0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.5e-310,
+                     std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+                     2251799813685247.75, -2251799813685247.75, 0.1, 1.0 / 3.0};
+    for (const double edge : {1e-5, 1e-4, 1e16, 1e17}) {
+        values.push_back(std::nextafter(edge, 0.0));
+        values.push_back(edge);
+        values.push_back(std::nextafter(edge, 1e300));
+        values.push_back(-edge);
+    }
+    return values;
+}
+
+Table format_test_table(std::size_t rows, std::size_t columns) {
+    const Vector edges = format_edge_values();
+    Rng rng(rows * 1000 + columns);
+    Table t;
+    for (std::size_t c = 0; c < columns; ++c) {
+        Vector column(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t k = r * columns + c;
+            if (k < edges.size()) {
+                column[r] = edges[k];
+            } else if (k % 8 == 0) {
+                do {
+                    column[r] = std::bit_cast<double>(rng.engine()());
+                } while (!std::isfinite(column[r]));
+            } else {
+                column[r] = rng.uniform(-1.0, 20.0);  // profile-like magnitudes
+            }
+        }
+        t.add_column("col" + std::to_string(c), std::move(column));
+    }
+    return t;
+}
+
+TEST(Csv, RowBlocksConcatenateToWriteCsvAtEveryBlockSize) {
+    for (const std::size_t rows : {0u, 1u, 2u, 201u}) {
+        for (const std::size_t columns : {1u, 300u}) {
+            const Table t = format_test_table(rows, columns);
+            std::ostringstream whole;
+            write_csv(whole, t);
+            std::string header;
+            csv_format_header(t, header);
+            ASSERT_EQ(whole.str().compare(0, header.size(), header), 0);
+            const std::string body = whole.str().substr(header.size());
+            for (std::size_t block = 1; block <= std::max<std::size_t>(rows, 1); ++block) {
+                std::string blocks;
+                for (std::size_t begin = 0; begin < rows; begin += block) {
+                    csv_format_rows(t, begin, std::min(begin + block, rows), blocks);
+                }
+                ASSERT_EQ(blocks, body) << rows << " rows x " << columns
+                                        << " columns, block " << block;
+            }
+        }
+    }
+    // The edge values are where the formatter's output changes shape.
+    std::string row;
+    Table tie;
+    tie.add_column("x", {2251799813685247.75, -0.0, 5e-324, 1e-5, 1e17});
+    csv_format_rows(tie, 0, 5, row);
+    EXPECT_EQ(row, "2251799813685247.8\n-0\n4.9406564584124654e-324\n1.0000000000000001e-05\n"
+                   "1e+17\n");
+}
+
+TEST(Csv, FormatRowsRejectsARangeOutsideTheTable) {
+    Table t;
+    t.add_column("x", {1.0, 2.0});
+    std::string out;
+    EXPECT_THROW(csv_format_rows(t, 1, 3, out), std::out_of_range);
+    EXPECT_THROW(csv_format_rows(t, 2, 1, out), std::out_of_range);
+    csv_format_rows(t, 2, 2, out);
+    EXPECT_TRUE(out.empty());
+}
+
 TEST(Csv, WriteRefusesNonFiniteBeforeWritingAByte) {
     for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),

@@ -119,6 +119,7 @@
 
 #include "core/batch_engine.h"
 #include "core/experiment_runner.h"
+#include "core/profile_output.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
 #include "io/csv.h"
@@ -369,22 +370,6 @@ class Telemetry_session {
     std::string metrics_path_;
 };
 
-/// Write a profile table prefixed with `# lambda:<gene>=<value>` comment
-/// lines (skipped by the CSV reader; parsed by `report --json`), so the
-/// smoothness weight each profile was estimated with travels with it.
-void write_profiles_with_lambdas(const std::string& path, const Table& table,
-                                 const std::vector<std::pair<std::string, double>>& lambdas) {
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-    for (const auto& [gene, lambda] : lambdas) {
-        char buffer[48];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", lambda);
-        out << "# lambda:" << gene << "=" << buffer << "\n";
-    }
-    write_csv(out, table);
-    if (!out) throw std::runtime_error("write failed for '" + path + "'");
-}
-
 std::string json_escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -443,6 +428,15 @@ Vector resolve_times(const Cli_options& cli) {
         return table.column("time");
     }
     usage_error("a time grid is required: --times LO:HI:COUNT or --times-from data.csv");
+}
+
+/// The phase grid every profile CSV is sampled on.
+Vector profile_grid() { return linspace(0.0, 1.0, 201); }
+
+/// A span's `path` arg, formatted only while a trace is recording.
+std::string traced_path(const std::string& path) {
+    return telemetry::Trace_recorder::instance().enabled() ? telemetry::arg("path", path)
+                                                           : std::string();
 }
 
 std::string output_stem(const std::string& output) {
@@ -530,7 +524,7 @@ int run_single(const Cli_options& cli) {
                 estimate.chi_squared, data.size(), estimate.roughness,
                 estimate.active_constraints);
 
-    const Vector grid = linspace(0.0, 1.0, 201);
+    const Vector grid = profile_grid();
     Series_writer writer("phi", grid);
     writer.add("f", estimate.sample(grid));
     if (cli.bootstrap > 0) {
@@ -575,7 +569,11 @@ int run_experiment_mode(const Cli_options& cli) {
         if (request.cycle_minutes.has_value()) {
             condition.cell_cycle.mean_cycle_minutes = *request.cycle_minutes;
         }
-        condition.panel = panel_from_table(read_csv_file(request.panel_path));
+        {
+            const telemetry::Trace_span span("io.read", "io",
+                                             traced_path(request.panel_path));
+            condition.panel = panel_from_table(read_csv_file(request.panel_path));
+        }
         std::printf("condition %-12s: %zu genes x %zu timepoints from %s\n",
                     condition.name.c_str(), condition.panel.size(),
                     condition.panel.front().size(), request.panel_path.c_str());
@@ -620,22 +618,39 @@ int run_experiment_mode(const Cli_options& cli) {
                     result.cache_stats.evictions, result.cache_stats.migrations);
     }
 
-    const Vector grid = linspace(0.0, 1.0, 201);
+    // Every condition's profile file, written on one pool after the
+    // compute; each condition's summary goes to stdout once its file is
+    // written, so the output reads condition by condition.
     const std::string stem =
         output_stem(cli.output.empty() ? "deconvolved.csv" : cli.output);
-    int failures = 0;
+    std::vector<std::string> paths;
+    std::vector<Profile_file> files;
     for (const Condition_result& condition : result.conditions) {
+        std::string path = stem + "." + condition.name;
+        if (cli.shards > 1) {
+            path += ".shard" + std::to_string(cli.shard_index) + "of" +
+                    std::to_string(cli.shards);
+        }
+        path += ".csv";
+        Profile_file& file = files.emplace_back();
+        file.path = path;
+        file.phi = profile_grid();
+        for (const Batch_entry& gene : condition.genes) {
+            if (!gene.estimate.has_value()) continue;
+            file.columns.push_back({gene.label, &*gene.estimate, {}});
+            file.lambdas.emplace_back(gene.label, gene.lambda);
+        }
+        paths.push_back(std::move(path));
+    }
+    int failures = 0;
+    Worker_pool pool(cli.threads);
+    write_profile_files(std::move(files), pool, [&](std::size_t k) {
+        const Condition_result& condition = result.conditions[k];
         std::printf("condition %-12s: mean order parameter %.3f, mean entropy %.3f\n",
                     condition.name.c_str(), condition.mean_order_parameter,
                     condition.mean_entropy);
         std::printf("  %-16s %-10s %-8s %-8s %-8s\n", "gene", "lambda", "order", "entropy",
                     "peak");
-        Series_writer writer("phi", grid);
-        std::vector<std::pair<std::string, double>> lambdas;
-        // Every estimate of a condition shares its design's basis: the
-        // grid design is built once and each profile is one mat-vec,
-        // bit-identical to estimate.sample(grid).
-        std::optional<Matrix> grid_design;
         auto scores = condition.synchrony.begin();
         for (const Batch_entry& gene : condition.genes) {
             if (!gene.estimate.has_value()) {
@@ -643,9 +658,6 @@ int run_experiment_mode(const Cli_options& cli) {
                 std::printf("  %-16s FAILED: %s\n", gene.label.c_str(), gene.error.c_str());
                 continue;
             }
-            if (!grid_design) grid_design = gene.estimate->basis().design_matrix(grid);
-            writer.add(gene.label, *grid_design * gene.estimate->coefficients());
-            lambdas.emplace_back(gene.label, gene.lambda);
             if (scores != condition.synchrony.end() && scores->label == gene.label) {
                 std::printf("  %-16s %-10.3e %-8.3f %-8.3f %-8.3f\n", gene.label.c_str(),
                             gene.lambda, scores->order_parameter, scores->entropy,
@@ -656,15 +668,8 @@ int run_experiment_mode(const Cli_options& cli) {
                             gene.lambda);
             }
         }
-        std::string path = stem + "." + condition.name;
-        if (cli.shards > 1) {
-            path += ".shard" + std::to_string(cli.shard_index) + "of" +
-                    std::to_string(cli.shards);
-        }
-        path += ".csv";
-        write_profiles_with_lambdas(path, writer.table(), lambdas);
-        std::printf("  wrote %s\n", path.c_str());
-    }
+        std::printf("  wrote %s\n", paths[k].c_str());
+    });
     return failures == 0 ? 0 : 1;
 }
 
@@ -764,7 +769,11 @@ int cmd_stream(const Cli_options& cli) {
     bool stopped_early = false;
     std::size_t timepoints = 0;
     for (;;) {
-        std::vector<Expression_record> batch = records.next_timepoint();
+        std::vector<Expression_record> batch;
+        {
+            const telemetry::Trace_span span("io.read", "io", traced_path(cli.input));
+            batch = records.next_timepoint();
+        }
         if (batch.empty()) break;
         const double t = batch.front().time;
         std::vector<Stream_record> updates_in;
@@ -807,12 +816,9 @@ int cmd_stream(const Cli_options& cli) {
 
     // Final per-gene summary + profile CSV (lambda comments included, so
     // `report --json` can carry the smoothness weight forward).
-    const Vector grid = linspace(0.0, 1.0, 201);
-    Series_writer writer("phi", grid);
-    std::vector<std::pair<std::string, double>> lambdas;
-    // The session's streams share one design basis: one grid design, one
-    // mat-vec per profile (bit-identical to current().sample(grid)).
-    std::optional<Matrix> grid_design;
+    Profile_file file;
+    file.path = cli.output.empty() ? "streamed.csv" : cli.output;
+    file.phi = profile_grid();
     std::printf("  %-16s %-9s %-10s %-8s %-10s\n", "gene", "observed", "converged",
                 "order", "lambda");
     for (const std::string& label : session.labels()) {
@@ -822,14 +828,15 @@ int cmd_stream(const Cli_options& cli) {
                     stream.observed(), times.size(), stream.converged() ? "yes" : "no",
                     stream.order_parameter(), stream.options().lambda);
         if (failed_genes.count(label) != 0) continue;
-        const Single_cell_estimate& estimate = stream.current();
-        if (!grid_design) grid_design = estimate.basis().design_matrix(grid);
-        writer.add(label, *grid_design * estimate.coefficients());
-        lambdas.emplace_back(label, stream.options().lambda);
+        file.columns.push_back({label, &stream.current(), {}});
+        file.lambdas.emplace_back(label, stream.options().lambda);
     }
-    const std::string output = cli.output.empty() ? "streamed.csv" : cli.output;
-    if (!lambdas.empty()) {
-        write_profiles_with_lambdas(output, writer.table(), lambdas);
+    if (!file.columns.empty()) {
+        const std::string output = file.path;
+        std::vector<Profile_file> files;
+        files.push_back(std::move(file));
+        Worker_pool pool(cli.threads);
+        write_profile_files(std::move(files), pool);
         std::printf("wrote %s\n", output.c_str());
     }
     return failed_genes.empty() ? 0 : 1;
@@ -1131,34 +1138,41 @@ int cmd_merge_results(const Cli_options& cli, const std::vector<std::string>& in
     // The shard CSVs round-trip doubles exactly (written at full
     // precision), so the merged per-gene columns are bit-identical to an
     // unsharded run's; only the column order differs (shard-file order).
-    std::optional<Series_writer> writer;
-    std::vector<std::pair<std::string, double>> lambdas;
-    std::size_t genes = 0;
+    Profile_file merged;
+    merged.path = cli.output;
+    std::set<std::string> seen;
     for (const std::string& path : paths) {
-        const Table table = read_csv_file(path);
+        Table table;
+        {
+            const telemetry::Trace_span span("io.read", "io", traced_path(path));
+            table = read_csv_file(path);
+        }
         if (!table.has_column("phi")) {
             usage_error("merge-results: '" + path + "' has no 'phi' column");
         }
-        const Vector phi = table.column("phi");
-        if (!writer) {
-            writer.emplace("phi", phi);
-        } else if (writer->table().column(0) != phi) {
+        const Vector& phi = table.column("phi");
+        if (&path == &paths.front()) {
+            merged.phi = phi;
+        } else if (merged.phi != phi) {
             usage_error("merge-results: '" + path +
                         "' is on a different phi grid than the first shard");
         }
         for (std::size_t c = 0; c < table.column_count(); ++c) {
             const std::string& name = table.names()[c];
             if (name == "phi") continue;
-            if (writer->table().has_column(name)) {
+            if (!seen.insert(name).second) {
                 usage_error("merge-results: profile '" + name + "' appears in '" + path +
                             "' and an earlier shard (shards must be disjoint)");
             }
-            writer->add(name, table.column(c));
-            ++genes;
+            merged.columns.push_back({name, nullptr, table.column(c)});
         }
-        for (const auto& lambda : read_lambda_comments(path)) lambdas.push_back(lambda);
+        for (const auto& lambda : read_lambda_comments(path)) merged.lambdas.push_back(lambda);
     }
-    write_profiles_with_lambdas(cli.output, writer->table(), lambdas);
+    const std::size_t genes = merged.columns.size();
+    std::vector<Profile_file> files;
+    files.push_back(std::move(merged));
+    Worker_pool pool(cli.threads);
+    write_profile_files(std::move(files), pool);
     std::printf("merged %zu profiles from %zu shards into %s\n", genes, paths.size(),
                 cli.output.c_str());
     return 0;

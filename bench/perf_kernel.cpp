@@ -67,7 +67,7 @@ cellsync::Experiment_spec panel_cold_fixed_spec() {
     const Noise_model noise{Noise_type::absolute_gaussian, 0.08};
     for (std::size_t c = 0; c < std::size(mu_sst); ++c) {
         Experiment_condition condition;
-        condition.name = "c" + std::to_string(c);
+        condition.name = 'c' + std::to_string(c);
         condition.cell_cycle.mu_sst = mu_sst[c];
         condition.cell_cycle.mean_cycle_minutes = cycle_minutes[c];
         const Kernel_grid kernel =
@@ -77,7 +77,7 @@ cellsync::Experiment_spec panel_cold_fixed_spec() {
                                  static_cast<double>(genes);
             condition.panel.push_back(forward_measurements_noisy(
                 kernel, sinusoid_profile(3.0, 2.0, 1.0, phase).f, noise, rng,
-                "g" + std::to_string(g)));
+                'g' + std::to_string(g)));
         }
         spec.conditions.push_back(std::move(condition));
     }

@@ -24,7 +24,7 @@
 //    the enclosing scope holds the capability;
 //  - internal helpers that assume the lock take CELLSYNC_REQUIRES.
 //
-// The repo lint (tools/cellsync_lint) enforces the entry ticket: no
+// The source analyzer (tools/cellsync_archcheck) enforces the entry ticket: no
 // naked std::mutex / std::condition_variable members in src/ outside
 // this header, so every new mutex-protected field starts out
 // annotatable.

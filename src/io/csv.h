@@ -51,7 +51,7 @@ double csv_parse_field(std::string_view field, std::size_t line_number);
 /// text instead of a line number. This — not std::stod/strtod/atof,
 /// which silently accept garbage suffixes ("1.5junk" parses as 1.5),
 /// locale-dependent separators, and inf/nan — is how every number
-/// enters the system; tools/cellsync_lint enforces it mechanically.
+/// enters the system; tools/cellsync_archcheck enforces it mechanically.
 /// Throws std::runtime_error on violation.
 double parse_strict_double(const std::string& text);
 

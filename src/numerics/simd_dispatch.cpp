@@ -1,6 +1,6 @@
 // Kernel-table resolution: CPU detection, CELLSYNC_DISPATCH override,
 // and the one place in the tree allowed to touch ISA-detection builtins
-// (tools/cellsync_lint's `simd` rule bans them everywhere else so
+// (tools/cellsync_archcheck's `simd` rule bans them everywhere else so
 // dispatch stays centralized).
 #include "numerics/simd_dispatch.h"
 

@@ -175,7 +175,9 @@ TEST(PopulationSimulator, FounderRangesPartitionThePopulation) {
     const std::size_t bounds[] = {0, 0, 1, 700, 701, 1999, n};
     for (std::size_t r = 0; r + 1 < std::size(bounds); ++r) {
         Population_simulator part(config, Founder_range{bounds[r], bounds[r + 1]}, 21);
-        if (bounds[r] == bounds[r + 1]) EXPECT_EQ(part.size(), 0u);
+        if (bounds[r] == bounds[r + 1]) {
+            EXPECT_EQ(part.size(), 0u);
+        }
         part.advance_to(330.0);
         pieces.insert(pieces.end(), part.cells().begin(), part.cells().end());
     }

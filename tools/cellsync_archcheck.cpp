@@ -1,12 +1,65 @@
-// cellsync_archcheck — the whole-program architecture analyzer.
+// cellsync_archcheck — the repo's source analyzer.
 //
-// cellsync_lint holds single lines to repo policy; this tool holds the
-// *program shape* to it. The bit-identity promise ("same results for any
-// thread count, shard split, storage layout, or SIMD tier") rests on
-// three structural invariants that no single-file scan can see, so this
-// analyzer machine-checks all three on every run, in CI and as ctests:
+// Generic tools prove generic properties: clang's -Wthread-safety proves
+// the locking discipline, TSan catches the races a run actually
+// exercises, clang-tidy flags the usual bug patterns. What none of them
+// can know is *this repo's* contracts — the policies and the program
+// shape that keep the bit-identity promise ("same results for any thread
+// count, shard split, storage layout, or SIMD tier") honest. This
+// analyzer checks them mechanically on every run, in CI and as ctests,
+// with three passes:
 //
-// Pass 1 — layering (src/layers.manifest is the source of truth):
+// Token rules — one table; each rule matches whole-word tokens on
+// stripped source lines within its own path scope. The walk covers
+// src/, tools/, tests/, bench/, examples/ (C++ sources and headers, .inc
+// fragments under src/) and every CMake file:
+//   number-parse   No std::stod/strtod/atof/stoul family outside
+//                  src/io/csv.cpp (home of the from_chars policy).
+//                  Those functions prefix-parse garbage ("1.5junk" ->
+//                  1.5), honor the locale, and accept inf/nan — the
+//                  exact bug class that silently breaks bit-identity.
+//   nondeterminism No std::rand/srand, no std::random_device, no
+//                  time()-based seeding. Every random draw comes from
+//                  the deterministic seeded RNG (numerics/rng.h), or
+//                  results stop being reproducible bit-for-bit.
+//   fast-math      No -ffast-math/-Ofast/-funsafe-math-optimizations
+//                  flags and no FP_CONTRACT/float_control/reassociate
+//                  pragmas, in sources or CMake files. Value-changing
+//                  FP transformations void the bit-identity contract.
+//   naked-mutex    No raw std::mutex/std::condition_variable (or
+//                  cousins) in src/ outside core/thread_annotations.h.
+//                  Library mutexes must be Annotated_mutex so clang's
+//                  thread-safety analysis sees every new lock.
+//   clock          No direct std::chrono::*_clock::now() / gettimeofday
+//                  outside src/core/telemetry.cpp (home of the
+//                  telemetry::Clock seam). One seam is one audit point
+//                  for the observes-never-perturbs contract: clock
+//                  reads feed counters and spans, never numerics.
+//                  Duration types (std::chrono::milliseconds etc.)
+//                  remain fine — only the clock *reads* are fenced.
+//   simd           No raw intrinsics headers, __builtin_cpu_supports,
+//                  #pragma GCC target / target_clones, or -march=
+//                  flags outside src/numerics/simd_dispatch.cpp and
+//                  the per-ISA kernel TUs (src/numerics/simd_kernels*).
+//                  ISA-specific code scattered outside the dispatch
+//                  seam either crashes baseline hosts or silently
+//                  forks the bit-identity story per build host.
+//   det-unordered  (src/ only) no std::unordered_{map,set,multimap,
+//                  multiset}: hashed iteration order is the canonical way
+//                  accumulation or output order silently forks between
+//                  hosts/libstdc++s.
+//   det-reduce     (src/ only) no std::reduce / std::transform_reduce:
+//                  both are permitted to reassociate, so FP results
+//                  depend on the implementation's tree shape.
+//   det-execution  (src/ only) no <execution> / std::execution policies:
+//                  parallel algorithms order reductions
+//                  nondeterministically; all parallelism goes through the
+//                  deterministic Worker_pool.
+//   det-volatile   (src/ only) no volatile: it pins loads/stores, not FP
+//                  semantics, and every historical use here was a
+//                  misguided attempt to control rounding.
+//
+// Layering — src/layers.manifest is the source of truth; src/ only:
 //   layer-module   every top-level directory under src/ must be declared
 //                  in the manifest; a new subsystem (e.g. the serve
 //                  daemon) cannot land without declaring its place.
@@ -19,25 +72,10 @@
 //   header-guard   every header under src/ uses #pragma once (one idiom,
 //                  scanner-checkable, no guard-name collisions).
 //
-// Pass 2 — determinism rule pack (extends the PR 6/9 bit-identity
-// contract from tests into policy; src/ only):
-//   det-unordered  no std::unordered_{map,set,multimap,multiset}: hashed
-//                  iteration order is the canonical way accumulation or
-//                  output order silently forks between hosts/libstdc++s.
-//   det-reduce     no std::reduce / std::transform_reduce: both are
-//                  permitted to reassociate, so FP results depend on the
-//                  implementation's tree shape.
-//   det-execution  no <execution> / std::execution policies: parallel
-//                  algorithms order reductions nondeterministically; all
-//                  parallelism goes through the deterministic Worker_pool.
-//   det-volatile   no volatile: it pins loads/stores, not FP semantics,
-//                  and every historical use here was a misguided attempt
-//                  to control rounding.
-//
-// Pass 3 — build-flag conformance (reads compile_commands.json, which
-// the top-level CMakeLists always exports): asserts the PR 9 build
-// invariants statically, so drift is caught at analysis time rather than
-// by a bit-identity test three layers downstream:
+// Build-flag conformance — reads compile_commands.json, which the
+// top-level CMakeLists always exports, so build drift is caught at
+// analysis time rather than by a bit-identity test three layers
+// downstream:
 //   flag-stray-isa no TU outside the dispatch seam's kernel TUs
 //                  (src/numerics/simd_kernels_{avx2,fma}.cpp)
 //                  carries -march= / -mavx* / -msse* / -mfma — one stray
@@ -48,20 +86,25 @@
 //   flag-std       every src/ TU compiles at one -std level; a mixed
 //                  tree means "the same header" is two different programs.
 //
-// False-positive hygiene mirrors cellsync_lint: comments and string
-// literals are stripped before token matching, and a source line can opt
-// out with
+// False-positive hygiene: comments are stripped before matching, string
+// and char literals are stripped for the token rules (so documentation
+// and error messages may name the forbidden spellings) — except for
+// fast-math, whose pragma/flag spellings live inside quotes. A source
+// line opts out of a rule explicitly with either spelling
 //     // cellsync-archcheck: allow(<rule-id>)
-// (flag-* rules have no inline escape — compile_commands.json carries no
-// comments; the escape hatch for those is a reviewed CMake change.)
+//     // cellsync-lint: allow(<rule-id>)
+// which is greppable and reviewable. flag-* rules have no inline escape
+// (compile_commands.json carries no comments; the escape hatch for those
+// is a reviewed CMake change). This file defines the forbidden spellings
+// and is exempt from the token rules.
 //
 // Usage:
 //   cellsync_archcheck [--compile-commands <json>] [root]
-//       scan <root> (default "."); pass 3 runs only when a
+//       scan <root> (default "."); the flag pass runs only when a
 //       compile_commands.json is supplied.
 //   cellsync_archcheck --self-test
 //       run the embedded fixtures: every rule with a violating and a
-//       clean case, plus suppression handling.
+//       clean case, plus scopes and suppression handling.
 //
 // Exit: 0 clean, 1 findings / self-test failure, 2 usage, I/O, or
 // manifest error.
@@ -81,16 +124,16 @@
 namespace {
 
 // ---------------------------------------------------------------------------
-// Text utilities (same discipline as cellsync_lint)
+// Text utilities
 // ---------------------------------------------------------------------------
 
 /// Blank out C++ comments — and, unless `keep_strings`, string/char
 /// literal contents — preserving newlines so line numbers survive.
 /// Handles //, /*...*/, '...', "..." with escapes, and
 /// R"delim(...)delim" raw strings. The include scanner keeps strings
-/// (the target path *is* a string literal); the token rules drop them so
-/// messages may name forbidden spellings.
-std::string strip_cpp(const std::string& text, bool keep_strings = false) {
+/// (the target path *is* a string literal); most token rules drop them
+/// so messages may name forbidden spellings.
+std::string strip_cpp(const std::string& text, bool keep_strings) {
     std::string out;
     out.reserve(text.size());
     enum class State { code, line_comment, block_comment, string, chr, raw_string };
@@ -181,6 +224,28 @@ std::string strip_cpp(const std::string& text, bool keep_strings = false) {
     return out;
 }
 
+/// Blank out CMake '#' comments (no string subtleties needed for the
+/// flags the token rules hunt).
+std::string strip_cmake(const std::string& text) {
+    std::string out;
+    out.reserve(text.size());
+    bool in_comment = false;
+    for (const char c : text) {
+        if (c == '\n') {
+            in_comment = false;
+            out += '\n';
+        } else if (in_comment) {
+            out += ' ';
+        } else if (c == '#') {
+            in_comment = true;
+            out += ' ';
+        } else {
+            out += c;
+        }
+    }
+    return out;
+}
+
 bool is_word_char(char c) {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
@@ -202,10 +267,12 @@ bool contains_token(const std::string& line, const std::string& token) {
     return false;
 }
 
-/// Does the *raw* line carry the inline escape hatch for `rule`?
-bool line_allows(const std::string& raw_line, const std::string& rule) {
-    return raw_line.find("cellsync-archcheck: allow(" + rule + ")") !=
-           std::string::npos;
+/// Does raw (unstripped) `text` carry the inline escape hatch for
+/// `rule`? Escapes live in comments, which the stripped text has blanked.
+/// Both spellings count: "cellsync-lint" predates the single analyzer.
+bool allows(const std::string& text, const std::string& rule) {
+    return text.find("cellsync-archcheck: allow(" + rule + ")") != std::string::npos ||
+           text.find("cellsync-lint: allow(" + rule + ")") != std::string::npos;
 }
 
 std::vector<std::string> split_ws(const std::string& text) {
@@ -213,6 +280,14 @@ std::vector<std::string> split_ws(const std::string& text) {
     std::istringstream in(text);
     std::string word;
     while (in >> word) out.push_back(word);
+    return out;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) out.push_back(line);
     return out;
 }
 
@@ -324,13 +399,34 @@ std::optional<Manifest> parse_manifest(const std::string& text,
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1 — layering over an (injectable) source-file set
+// Source files
 // ---------------------------------------------------------------------------
+
+enum class File_kind { cpp, cmake };
 
 struct Source_file {
     std::string path;  ///< repo-relative, '/'-separated (e.g. "src/core/batch.h")
     std::string content;
+    File_kind kind = File_kind::cpp;
 };
+
+/// The walk's file selection, by repo-relative path: C++ sources and
+/// headers, .inc fragments under src/, and CMake files. nullopt = not
+/// scanned.
+std::optional<File_kind> kind_of(const std::string& path) {
+    const std::filesystem::path p(path);
+    const std::string ext = p.extension().string();
+    if (ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".h" || ext == ".hpp" ||
+        (ext == ".inc" && path.rfind("src/", 0) == 0)) {
+        return File_kind::cpp;
+    }
+    if (p.filename() == "CMakeLists.txt" || ext == ".cmake") return File_kind::cmake;
+    return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
+// Layering pass over an (injectable) source-file set
+// ---------------------------------------------------------------------------
 
 /// "src/<module>/..." -> module name; empty for anything else.
 std::string module_of(const std::string& path) {
@@ -374,7 +470,7 @@ std::vector<Finding> layering_pass(const Manifest& manifest,
 
     for (const Source_file& file : files) {
         const std::string module = module_of(file.path);
-        if (module.empty()) continue;
+        if (module.empty() || file.kind != File_kind::cpp) continue;
         // Comments stripped, strings kept: the include target is a string.
         const std::string stripped = strip_cpp(file.content, /*keep_strings=*/true);
 
@@ -400,9 +496,7 @@ std::vector<Finding> layering_pass(const Manifest& manifest,
                     break;
                 }
             }
-            if (!has_pragma && file.content.find("cellsync-archcheck: "
-                                                 "allow(header-guard)") ==
-                                   std::string::npos) {
+            if (!has_pragma && !allows(file.content, "header-guard")) {
                 findings.push_back(
                     {file.path, 1, "header-guard",
                      "header is missing #pragma once (the tree's one guard "
@@ -412,12 +506,7 @@ std::vector<Finding> layering_pass(const Manifest& manifest,
         }
 
         // Raw lines for suppression lookup.
-        std::vector<std::string> raw_lines;
-        {
-            std::istringstream raw(file.content);
-            std::string line;
-            while (std::getline(raw, line)) raw_lines.push_back(line);
-        }
+        const std::vector<std::string> raw_lines = split_lines(file.content);
 
         for (const auto& [line_number, target] : quoted_includes(stripped)) {
             // Resolve the include to a repo-relative path: quoted includes
@@ -442,7 +531,7 @@ std::vector<Finding> layering_pass(const Manifest& manifest,
                                               ? raw_lines[line_number - 1]
                                               : std::string();
             if (decl_it->second.deps.count(target_module)) continue;
-            if (line_allows(raw_line, "layer-upward")) continue;
+            if (allows(raw_line, "layer-upward")) continue;
             const auto target_decl = manifest.modules.find(target_module);
             const std::string direction =
                 target_decl == manifest.modules.end()
@@ -507,57 +596,138 @@ std::vector<Finding> layering_pass(const Manifest& manifest,
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2 — determinism rule pack (src/ only)
+// Token rules
 // ---------------------------------------------------------------------------
 
-struct Det_rule {
+struct Token_rule {
     std::string id;
     std::vector<std::string> tokens;
-    std::string policy;
+    std::string policy;       ///< one-line "use instead" message
+    bool keep_strings;        ///< match inside string literals too
+    bool cmake_files;         ///< also scan CMake files
+    /// Returns true when the rule applies to `path` (repo-relative,
+    /// '/'-separated).
+    bool (*applies)(const std::string& path);
 };
 
-const std::vector<Det_rule>& det_rules() {
-    static const std::vector<Det_rule> all = {
+bool everywhere(const std::string&) { return true; }
+
+bool outside_csv_policy_home(const std::string& path) {
+    return path != "src/io/csv.cpp";
+}
+
+bool library_sources_only(const std::string& path) {
+    return path.rfind("src/", 0) == 0;
+}
+
+bool outside_clock_seam(const std::string& path) {
+    return path != "src/core/telemetry.cpp";
+}
+
+bool outside_simd_dispatch_home(const std::string& path) {
+    // The dispatcher and the per-ISA kernel translation units
+    // (simd_kernels_scalar/avx2/fma.cpp and the shared
+    // simd_kernels.inc) are where ISA-specific spellings belong.
+    return path != "src/numerics/simd_dispatch.cpp" &&
+           path.rfind("src/numerics/simd_kernels", 0) != 0;
+}
+
+const std::vector<Token_rule>& token_rules() {
+    static const std::vector<Token_rule> all = {
+        {"number-parse",
+         {"std::stod", "std::stof", "std::stold", "std::stoul", "std::stoull",
+          "std::stoi", "std::stol", "std::stoll", "strtod", "strtof", "strtold",
+          "atof", "sscanf"},
+         "parse numbers with parse_strict_double / parse_strict_uint64 / "
+         "csv_parse_field (io/csv.h): whole-string from_chars, finite only",
+         /*keep_strings=*/false, /*cmake_files=*/false, outside_csv_policy_home},
+        {"nondeterminism",
+         {"std::rand", "srand", "std::random_device", "random_device",
+          "time(nullptr)", "time(NULL)", "std::time"},
+         "seed the deterministic RNG (numerics/rng.h) from explicit config; "
+         "wall-clock or entropy seeding breaks bit-for-bit reproducibility",
+         /*keep_strings=*/false, /*cmake_files=*/false, everywhere},
+        {"fast-math",
+         {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+          "-fassociative-math", "-freciprocal-math", "-ffp-contract=fast",
+          "FP_CONTRACT", "float_control", "fp reassociate"},
+         "value-changing FP options void the bit-identity contract; keep "
+         "IEEE-strict semantics (vectorize across outputs, never within a "
+         "reduction)",
+         /*keep_strings=*/true, /*cmake_files=*/true, everywhere},
+        {"naked-mutex",
+         {"std::mutex", "std::timed_mutex", "std::recursive_mutex",
+          "std::shared_mutex", "std::condition_variable", "pthread_mutex_t"},
+         "declare Annotated_mutex / Annotated_condition_variable "
+         "(core/thread_annotations.h) so clang's -Wthread-safety analysis "
+         "covers the new lock",
+         /*keep_strings=*/false, /*cmake_files=*/false, library_sources_only},
+        {"clock",
+         {"steady_clock::now", "system_clock::now", "high_resolution_clock::now",
+          "gettimeofday"},
+         "read time through telemetry::Clock / telemetry::Stopwatch "
+         "(core/telemetry.h) — the single clock seam is the audit point that "
+         "keeps clock reads out of numeric results",
+         /*keep_strings=*/false, /*cmake_files=*/false, outside_clock_seam},
+        {"simd",
+         {"immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
+          "arm_neon.h", "__builtin_cpu_supports", "#pragma GCC target",
+          "target_clones", "-march="},
+         "ISA-specific code lives behind the runtime dispatch seam "
+         "(numerics/simd_dispatch.h): add kernels to the per-ISA translation "
+         "units, never raw intrinsics or arch flags in shared code",
+         /*keep_strings=*/false, /*cmake_files=*/true, outside_simd_dispatch_home},
         {"det-unordered",
          {"std::unordered_map", "std::unordered_set", "std::unordered_multimap",
           "std::unordered_multiset"},
          "hashed iteration order forks between hosts; use std::map/std::set "
-         "(or a vector plus the registration-order idiom, see Stream_session)"},
+         "(or a vector plus the registration-order idiom, see Stream_session)",
+         /*keep_strings=*/false, /*cmake_files=*/false, library_sources_only},
         {"det-reduce",
          {"std::reduce", "std::transform_reduce"},
          "reduce may reassociate FP; accumulate in a fixed order "
-         "(std::accumulate or an explicit loop)"},
+         "(std::accumulate or an explicit loop)",
+         /*keep_strings=*/false, /*cmake_files=*/false, library_sources_only},
         {"det-execution",
          {"<execution>", "std::execution"},
          "parallel algorithms order reductions nondeterministically; all "
-         "parallelism goes through the deterministic Worker_pool / Task_graph"},
+         "parallelism goes through the deterministic Worker_pool / Task_graph",
+         /*keep_strings=*/false, /*cmake_files=*/false, library_sources_only},
         {"det-volatile",
          {"volatile"},
          "volatile does not control FP semantics and has no sanctioned use "
          "in this tree; express the real constraint (atomics, the telemetry "
-         "seam, or IEEE-strict kernel TUs) instead"},
+         "seam, or IEEE-strict kernel TUs) instead",
+         /*keep_strings=*/false, /*cmake_files=*/false, library_sources_only},
     };
     return all;
 }
 
-std::vector<Finding> determinism_pass(const std::vector<Source_file>& files) {
+/// Every token rule over every file it applies to: at most one finding
+/// per line per rule.
+std::vector<Finding> token_pass(const std::vector<Source_file>& files) {
     std::vector<Finding> findings;
     for (const Source_file& file : files) {
-        if (file.path.rfind("src/", 0) != 0) continue;
-        const std::string stripped = strip_cpp(file.content);
-        std::istringstream lines(stripped);
-        std::istringstream raw_lines(file.content);
-        std::string line;
-        std::string raw_line;
-        for (std::size_t number = 1; std::getline(lines, line); ++number) {
-            std::getline(raw_lines, raw_line);
-            for (const Det_rule& rule : det_rules()) {
-                if (line_allows(raw_line, rule.id)) continue;
+        // The analyzer's own source defines the forbidden spellings;
+        // scanning it would only test the stripper's opinion of its own
+        // token table.
+        if (file.path == "tools/cellsync_archcheck.cpp") continue;
+        const bool cmake = file.kind == File_kind::cmake;
+        const std::vector<std::string> with_strings = split_lines(
+            cmake ? strip_cmake(file.content) : strip_cpp(file.content, true));
+        const std::vector<std::string> without_strings =
+            cmake ? with_strings : split_lines(strip_cpp(file.content, false));
+        const std::vector<std::string> raw_lines = split_lines(file.content);
+        for (const Token_rule& rule : token_rules()) {
+            if ((cmake && !rule.cmake_files) || !rule.applies(file.path)) continue;
+            const std::vector<std::string>& lines =
+                rule.keep_strings ? with_strings : without_strings;
+            for (std::size_t i = 0; i < lines.size(); ++i) {
+                if (allows(raw_lines[i], rule.id)) continue;
                 for (const std::string& token : rule.tokens) {
-                    if (contains_token(line, token)) {
-                        findings.push_back({file.path, number, rule.id,
-                                            "forbidden '" + token +
-                                                "' — " + rule.policy});
+                    if (contains_token(lines[i], token)) {
+                        findings.push_back({file.path, i + 1, rule.id,
+                                            "forbidden '" + token + "' — " + rule.policy});
                         break;
                     }
                 }
@@ -568,7 +738,7 @@ std::vector<Finding> determinism_pass(const std::vector<Source_file>& files) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3 — compile_commands.json flag conformance
+// Flag pass — compile_commands.json conformance
 // ---------------------------------------------------------------------------
 
 /// Minimal JSON reader for compile_commands.json: an array of flat
@@ -911,24 +1081,35 @@ int scan_tree(const std::string& root, const std::string& compile_commands_path)
         return 2;
     }
 
-    // Source files under src/.
+    // One walk: the source directories plus the top-level CMakeLists.txt,
+    // each file kept when kind_of() selects it.
+    std::vector<fs::path> paths;
+    for (const char* dir : {"src", "tools", "tests", "bench", "examples"}) {
+        std::error_code ec;
+        for (fs::recursive_directory_iterator it(fs::path(root) / dir, ec), end;
+             !ec && it != end; it.increment(ec)) {
+            if (it->is_regular_file()) paths.push_back(it->path());
+        }
+    }
+    if (std::error_code ec; fs::is_regular_file(fs::path(root) / "CMakeLists.txt", ec)) {
+        paths.push_back(fs::path(root) / "CMakeLists.txt");
+    }
     std::vector<Source_file> files;
-    std::error_code ec;
-    for (fs::recursive_directory_iterator it(fs::path(root) / "src", ec), end;
-         !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file()) continue;
-        const std::string ext = it->path().extension().string();
-        if (ext != ".h" && ext != ".cpp" && ext != ".inc") continue;
+    for (const fs::path& path : paths) {
         Source_file file;
-        file.path = it->path().lexically_relative(root).generic_string();
-        if (!read_file(it->path(), file.content)) {
+        file.path = path.lexically_relative(root).generic_string();
+        const std::optional<File_kind> kind = kind_of(file.path);
+        if (!kind) continue;
+        file.kind = *kind;
+        if (!read_file(path, file.content)) {
             std::fprintf(stderr, "cellsync_archcheck: cannot read '%s'\n",
-                         it->path().string().c_str());
+                         path.string().c_str());
             return 2;
         }
         files.push_back(std::move(file));
     }
-    if (files.empty()) {
+    if (std::none_of(files.begin(), files.end(),
+                     [](const Source_file& f) { return !module_of(f.path).empty(); })) {
         std::fprintf(stderr, "cellsync_archcheck: no sources under '%s/src'\n",
                      root.c_str());
         return 2;
@@ -938,10 +1119,10 @@ int scan_tree(const std::string& root, const std::string& compile_commands_path)
                   return a.path < b.path;
               });
 
-    std::vector<Finding> findings = layering_pass(*manifest, files);
+    std::vector<Finding> findings = token_pass(files);
     {
-        const std::vector<Finding> det = determinism_pass(files);
-        findings.insert(findings.end(), det.begin(), det.end());
+        const std::vector<Finding> layering = layering_pass(*manifest, files);
+        findings.insert(findings.end(), layering.begin(), layering.end());
     }
 
     bool flags_ran = false;
@@ -973,7 +1154,7 @@ int scan_tree(const std::string& root, const std::string& compile_commands_path)
         return 1;
     }
     std::printf(
-        "cellsync_archcheck: %zu files clean (layering + determinism%s)\n",
+        "cellsync_archcheck: %zu files clean (token rules + layering%s)\n",
         files.size(), flags_ran ? " + flag conformance" : "");
     if (!flags_ran) {
         std::printf(
@@ -999,17 +1180,19 @@ struct Layer_case {
     const char* expect_rule;  ///< nullptr = must scan clean
 };
 
-struct Det_case {
+struct Token_case {
     const char* name;
-    const char* path;
+    const char* path;  ///< pretended path: the walk's selection and rule scopes see it
     const char* code;
-    const char* expect_rule;
+    const char* expect_rule;  ///< nullptr = must scan clean
 };
 
 int self_test() {
     std::size_t failures = 0;
-    const auto check = [&failures](const char* name, const char* expect_rule,
-                                   const std::vector<Finding>& found) {
+    std::size_t cases = 0;
+    const auto check = [&failures, &cases](const char* name, const char* expect_rule,
+                                           const std::vector<Finding>& found) {
+        ++cases;
         bool pass;
         if (expect_rule == nullptr) {
             pass = found.empty();
@@ -1055,7 +1238,7 @@ int self_test() {
         }
     }
 
-    // --- pass 1: layering ---
+    // --- layering ---
     const Layer_case layer_cases[] = {
         {"clean downward include",
          {{"src/mid/a.h", "#pragma once\n#include \"low/b.h\"\n"},
@@ -1076,6 +1259,11 @@ int self_test() {
         {"upward suppression honored",
          {{"src/low/a.cpp",
            "#include \"mid/b.h\"  // cellsync-archcheck: allow(layer-upward)\n"},
+          {"src/mid/b.h", "#pragma once\n"}},
+         nullptr},
+        {"upward suppression honored in the lint spelling",
+         {{"src/low/a.cpp",
+           "#include \"mid/b.h\"  // cellsync-lint: allow(layer-upward)\n"},
           {"src/mid/b.h", "#pragma once\n"}},
          nullptr},
         {"include in comment ignored",
@@ -1116,14 +1304,95 @@ int self_test() {
         check(test.name, test.expect_rule, layering_pass(*manifest, test.files));
     }
 
-    // --- pass 2: determinism ---
-    const Det_case det_cases[] = {
-        {"unordered_map flagged", "src/core/x.cpp",
-         "std::unordered_map<int, int> m;\n", "det-unordered"},
+    // --- token rules: the walk's file selection, then each rule's scope ---
+    const Token_case token_cases[] = {
+        {"stod flagged", "src/io/table.cpp", "double d = std::stod(text);\n",
+         "number-parse"},
+        {"strtod flagged in tools", "tools/foo.cpp", "double d = strtod(s, &end);\n",
+         "number-parse"},
+        {"stoull flagged", "src/population/x.cpp", "auto n = std::stoull(v);\n",
+         "number-parse"},
+        {"stod in comment ignored", "src/io/table.cpp",
+         "// std::stod would prefix-parse here\n", nullptr},
+        {"stod in string ignored", "src/io/table.cpp",
+         "const char* msg = \"std::stod is banned\";\n", nullptr},
+        {"stod allowed in the policy home", "src/io/csv.cpp",
+         "double d = std::stod(text);\n", nullptr},
+        {"suppression honored", "src/io/table.cpp",
+         "double d = std::stod(t);  // cellsync-lint: allow(number-parse)\n", nullptr},
+        {"rand flagged", "src/numerics/x.cpp", "int r = std::rand();\n",
+         "nondeterminism"},
+        {"time seeding flagged", "tests/x.cpp", "rng.seed(time(nullptr));\n",
+         "nondeterminism"},
+        {"random_device flagged", "bench/x.cpp", "std::random_device rd;\n",
+         "nondeterminism"},
+        {"steady_clock read flagged", "src/numerics/x.cpp",
+         "auto t0 = std::chrono::steady_clock::now();\n", "clock"},
+        {"system_clock read flagged in bench", "bench/x.cpp",
+         "auto t = std::chrono::system_clock::now();\n", "clock"},
+        {"gettimeofday flagged", "tools/x.cpp", "gettimeofday(&tv, nullptr);\n", "clock"},
+        {"clock read allowed in the seam home", "src/core/telemetry.cpp",
+         "auto t0 = std::chrono::steady_clock::now();\n", nullptr},
+        {"clock suppression honored", "src/numerics/x.cpp",
+         "auto t0 = std::chrono::steady_clock::now();  "
+         "// cellsync-lint: allow(clock)\n",
+         nullptr},
+        {"chrono durations are fine", "tests/x.cpp",
+         "std::this_thread::sleep_for(std::chrono::milliseconds(100));\n", nullptr},
+        {"clock read in comment ignored", "src/numerics/x.cpp",
+         "// steady_clock::now() would break the seam here\n", nullptr},
+        {"fast-math flag flagged in cmake", "CMakeLists.txt",
+         "target_compile_options(cellsync PRIVATE -ffast-math)\n", "fast-math"},
+        {"Ofast flagged", "bench/CMakeLists.txt", "set(CMAKE_CXX_FLAGS \"-Ofast\")\n",
+         "fast-math"},
+        {"fp contract pragma flagged", "src/numerics/x.cpp",
+         "#pragma STDC FP_CONTRACT ON\n", "fast-math"},
+        {"reassociation pragma flagged", "src/numerics/x.cpp",
+         "#pragma clang fp reassociate(on)\n", "fast-math"},
+        {"commented cmake flag ignored", "CMakeLists.txt",
+         "# never add -ffast-math here\n", nullptr},
+        {"naked mutex flagged in src", "src/core/x.h", "std::mutex mutex_;\n",
+         "naked-mutex"},
+        {"naked condition_variable flagged", "src/core/x.h",
+         "std::condition_variable cv_;\n", "naked-mutex"},
+        {"condition_variable_any is the wrapper's alias target", "src/core/x.h",
+         "std::condition_variable_any cv_;\n", nullptr},
+        {"test scaffolding mutex tolerated", "tests/x.cpp", "std::mutex checkpoints;\n",
+         nullptr},
+        {"annotated wrapper clean", "src/core/x.h",
+         "Annotated_mutex mutex_;\nAnnotated_condition_variable cv_;\n", nullptr},
+        {"include line clean", "src/core/x.h",
+         "#include <mutex>\n#include <condition_variable>\n", nullptr},
+        {"intrinsics header flagged outside the seam", "src/numerics/matrix.cpp",
+         "#include <immintrin.h>\n", "simd"},
+        {"cpu_supports flagged outside the seam", "src/core/x.cpp",
+         "if (__builtin_cpu_supports(\"avx2\")) {}\n", "simd"},
+        {"pragma target flagged", "src/numerics/x.cpp", "#pragma GCC target(\"avx2\")\n",
+         "simd"},
+        {"march flagged in cmake", "CMakeLists.txt", "add_compile_options(-march=native)\n",
+         "simd"},
+        {"cpu_supports allowed in the dispatcher", "src/numerics/simd_dispatch.cpp",
+         "if (__builtin_cpu_supports(\"fma\")) {}\n", nullptr},
+        {"intrinsics allowed in an ISA kernel TU", "src/numerics/simd_kernels_avx2.cpp",
+         "#include <immintrin.h>\n", nullptr},
+        {"simd suppression honored", "src/core/x.cpp",
+         "check(__builtin_cpu_supports(\"avx2\"));  // cellsync-lint: allow(simd)\n",
+         nullptr},
+        {"intrinsics mention in comment ignored", "src/core/x.cpp",
+         "// never include immintrin.h here\n", nullptr},
+        {"contract=fast flagged in cmake", "bench/CMakeLists.txt",
+         "set_source_files_properties(a.cpp PROPERTIES COMPILE_OPTIONS "
+         "\"-ffp-contract=fast\")\n",
+         "fast-math"},
+        {"contract=off is fine", "CMakeLists.txt",
+         "set_source_files_properties(a.cpp PROPERTIES COMPILE_OPTIONS "
+         "\"-mavx2;-ffp-contract=off\")\n",
+         nullptr},
+        {"unordered_map flagged", "src/core/x.cpp", "std::unordered_map<int, int> m;\n",
+         "det-unordered"},
         {"unordered_set flagged", "src/stream/x.cpp",
          "std::unordered_set<std::string> seen;\n", "det-unordered"},
-        {"ordered map clean", "src/core/x.cpp", "std::map<int, int> m;\n",
-         nullptr},
+        {"ordered map clean", "src/core/x.cpp", "std::map<int, int> m;\n", nullptr},
         {"unordered in comment ignored", "src/core/x.cpp",
          "// std::unordered_map would fork iteration order\n", nullptr},
         {"unordered in string ignored", "src/core/x.cpp",
@@ -1144,19 +1413,48 @@ int self_test() {
         {"execution header flagged", "src/core/x.cpp", "#include <execution>\n",
          "det-execution"},
         {"execution policy flagged", "src/core/x.cpp",
-         "std::sort(std::execution::par, v.begin(), v.end());\n",
-         "det-execution"},
+         "std::sort(std::execution::par, v.begin(), v.end());\n", "det-execution"},
         {"volatile flagged", "src/numerics/x.cpp", "volatile double sink = x;\n",
          "det-volatile"},
         {"volatile in comment ignored", "src/numerics/x.cpp",
          "// volatile would not fix this\n", nullptr},
+        // Either escape spelling suppresses any rule, and only the rule it names.
+        {"lint spelling suppresses a det rule", "src/core/x.cpp",
+         "std::unordered_map<int, int> m;  // cellsync-lint: allow(det-unordered)\n",
+         nullptr},
+        {"archcheck spelling suppresses a line rule", "src/io/table.cpp",
+         "double d = std::stod(t);  // cellsync-archcheck: allow(number-parse)\n",
+         nullptr},
+        {"an escape names one rule only", "src/core/x.cpp",
+         "std::unordered_map<int, int> m;  // cellsync-lint: allow(number-parse)\n",
+         "det-unordered"},
+        // Scopes: tools/ and tests/ get the line rules but not det-*.
+        {"tools file: line rules only", "tools/x.cpp",
+         "std::unordered_map<int, int> m{{std::rand(), 0}};\n", "nondeterminism"},
+        {"tests file: line rules only", "tests/x.cpp",
+         "volatile double v = std::stod(s);\n", "number-parse"},
+        {".inc under src gets the line rules", "src/numerics/x.inc",
+         "int r = std::rand();\n", "nondeterminism"},
+        {".inc under src gets the det rules", "src/numerics/x.inc",
+         "volatile int v = 0;\n", "det-volatile"},
+        {".inc outside src is not scanned", "tests/x.inc", "int r = std::rand();\n",
+         nullptr},
+        {"cmake script under tools scanned", "tools/x.cmake",
+         "execute_process(COMMAND g++ -Ofast a.cpp)\n", "fast-math"},
+        {"the analyzer's own source is exempt", "tools/cellsync_archcheck.cpp",
+         "int r = std::rand();\n", nullptr},
     };
-    for (const Det_case& test : det_cases) {
-        check(test.name, test.expect_rule,
-              determinism_pass({{test.path, test.code}}));
+    for (const Token_case& test : token_cases) {
+        // Run the fixture through the walk's selection as well: an
+        // unselected path yields no findings, as in a tree scan.
+        std::vector<Source_file> files;
+        if (const std::optional<File_kind> kind = kind_of(test.path)) {
+            files.push_back({test.path, test.code, *kind});
+        }
+        check(test.name, test.expect_rule, token_pass(files));
     }
 
-    // --- pass 3: flag conformance ---
+    // --- flag conformance ---
     const auto entry = [](const char* file, const char* flags) {
         return std::string("{\"directory\":\"/b\",\"command\":\"g++ ") + flags +
                " -c " + file + "\",\"file\":\"" + file + "\"}";
@@ -1228,7 +1526,7 @@ int self_test() {
                      failures);
         return 1;
     }
-    std::printf("cellsync_archcheck --self-test: all cases passed\n");
+    std::printf("cellsync_archcheck --self-test: %zu cases passed\n", cases);
     return 0;
 }
 

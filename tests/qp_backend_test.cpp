@@ -1,10 +1,14 @@
-#include "numerics/qp_backend.h"
+// The library's two QP solve routes cross-checked against each other:
+// the dual active-set method (cold, and on a prepared constraint set)
+// and Lawson-Hanson NNLS on positivity-only problems.
+#include "numerics/qp_solver.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <stdexcept>
+#include <cstdint>
 
+#include "numerics/linear_solve.h"
+#include "numerics/nnls.h"
 #include "numerics/rng.h"
 #include "qp_oracles.h"
 
@@ -13,8 +17,7 @@ namespace {
 
 using test::kkt_violation;
 
-// Random strictly convex positivity-only problem (x >= 0, no equalities):
-// the structure both backends support.
+// Random strictly convex positivity-only problem (x >= 0, no equalities).
 Qp_problem positivity_problem(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
     Matrix a(n + 3, n);
@@ -30,96 +33,38 @@ Qp_problem positivity_problem(std::size_t n, std::uint64_t seed) {
     return p;
 }
 
-TEST(QpBackend, BackendsAgreeOnPositivityOnlyProblems) {
-    const Active_set_qp_solver active_set;
-    const Nnls_qp_solver nnls;
+TEST(QpBackend, DualSolveMatchesNnlsOnPositivityOnlyProblems) {
+    const Qp_options options;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         const Qp_problem p = positivity_problem(4 + seed % 9, seed);
-        ASSERT_TRUE(active_set.supports(p));
-        ASSERT_TRUE(nnls.supports(p));
-        const Qp_result a = active_set.solve(p);
-        const Qp_result b = nnls.solve(p);
-        ASSERT_TRUE(a.converged);
-        ASSERT_TRUE(b.converged);
-        ASSERT_EQ(a.x.size(), b.x.size());
-        for (std::size_t i = 0; i < a.x.size(); ++i) {
-            EXPECT_NEAR(a.x[i], b.x[i], 1e-8) << "seed " << seed << " coord " << i;
-            EXPECT_GE(b.x[i], 0.0);
+        const std::size_t n = p.hessian.rows();
+        const Qp_result dual = solve_qp_dual(p);
+        ASSERT_TRUE(dual.converged);
+
+        // H = L L^T turns 0.5 x'Hx + g'x into 0.5||L^T x - b||^2 + const
+        // with L b = -g, so the QP is exactly NNLS in x; the NNLS
+        // termination test is dual feasibility.
+        const Cholesky_factorization chol(p.hessian);
+        const Vector b = chol.forward(scaled(p.gradient, -1.0));
+        const Nnls_result nnls =
+            solve_nnls(chol.lower().transposed(), b, options.multiplier_tol);
+        ASSERT_TRUE(nnls.converged);
+        ASSERT_EQ(nnls.x.size(), n);
+
+        Qp_result via_nnls;
+        via_nnls.x = nnls.x;
+        via_nnls.objective =
+            0.5 * dot(nnls.x, p.hessian * nnls.x) + dot(p.gradient, nnls.x);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Lawson-Hanson keeps coordinates outside the passive set at
+            // an exact zero: those are the binding positivity rows.
+            if (nnls.x[i] <= options.constraint_tol) via_nnls.active_set.push_back(i);
+            EXPECT_NEAR(dual.x[i], nnls.x[i], 1e-8) << "seed " << seed << " coord " << i;
+            EXPECT_GE(nnls.x[i], 0.0);
         }
-        EXPECT_NEAR(a.objective, b.objective, 1e-8);
-        EXPECT_LT(kkt_violation(p, b), 1e-7);
+        EXPECT_NEAR(dual.objective, via_nnls.objective, 1e-8);
+        EXPECT_LT(kkt_violation(p, via_nnls), 1e-7);
     }
-}
-
-TEST(QpBackend, NnlsRejectsEqualityConstrainedProblems) {
-    Qp_problem p = positivity_problem(6, 3);
-    p.eq_matrix = Matrix(1, 6, 1.0);
-    p.eq_rhs = {0.0};
-    const Nnls_qp_solver nnls;
-    EXPECT_FALSE(nnls.supports(p));
-    EXPECT_THROW(nnls.solve(p), std::invalid_argument);
-}
-
-TEST(QpBackend, NnlsRejectsNonIdentityInequalities) {
-    Qp_problem p = positivity_problem(6, 4);
-    p.ineq_matrix(0, 1) = 0.5;  // no longer the identity
-    EXPECT_FALSE(Nnls_qp_solver{}.supports(p));
-    p = positivity_problem(6, 4);
-    p.ineq_rhs[2] = 1.0;  // nonzero rhs
-    EXPECT_FALSE(Nnls_qp_solver{}.supports(p));
-}
-
-TEST(QpBackend, SupportsRejectsMalformedRhsWithoutReadingIt) {
-    // A malformed problem (identity inequality block but missing rhs)
-    // must be rejected by supports() — reaching solve_qp's validation via
-    // the dispatcher, never read out of bounds.
-    Qp_problem p = positivity_problem(6, 8);
-    p.ineq_rhs.clear();
-    EXPECT_FALSE(Nnls_qp_solver{}.supports(p));
-    p.ineq_rhs.assign(3, 0.0);  // too short
-    EXPECT_FALSE(Nnls_qp_solver{}.supports(p));
-    EXPECT_THROW(make_qp_solver(Qp_backend::automatic)->solve(p), std::invalid_argument);
-}
-
-TEST(QpBackend, ActiveSetSupportsEverything) {
-    Qp_problem p = positivity_problem(5, 7);
-    p.eq_matrix = Matrix(1, 5, 1.0);
-    p.eq_rhs = {1.0};
-    EXPECT_TRUE(Active_set_qp_solver{}.supports(p));
-    const Qp_result r = Active_set_qp_solver{}.solve(p);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(sum(r.x), 1.0, 1e-7);
-}
-
-TEST(QpBackend, AutomaticDispatchesPerProblemStructure) {
-    const auto automatic = make_qp_solver(Qp_backend::automatic);
-    EXPECT_EQ(automatic->name(), "automatic");
-
-    // Positivity-only problem: must match the NNLS fast path's answer.
-    const Qp_problem fast = positivity_problem(7, 11);
-    const Qp_result via_auto = automatic->solve(fast);
-    const Qp_result via_nnls = make_qp_solver(Qp_backend::nnls)->solve(fast);
-    for (std::size_t i = 0; i < via_auto.x.size(); ++i) {
-        EXPECT_DOUBLE_EQ(via_auto.x[i], via_nnls.x[i]);
-    }
-
-    // General problem: falls back to the active-set method.
-    Qp_problem general = positivity_problem(5, 13);
-    general.eq_matrix = Matrix(1, 5, 1.0);
-    general.eq_rhs = {2.0};
-    const Qp_result r = automatic->solve(general);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(sum(r.x), 2.0, 1e-7);
-}
-
-TEST(QpBackend, FactoryAndNames) {
-    EXPECT_EQ(make_qp_solver(Qp_backend::active_set)->name(), "active_set");
-    EXPECT_EQ(make_qp_solver(Qp_backend::nnls)->name(), "nnls");
-    EXPECT_STREQ(to_string(Qp_backend::automatic), "automatic");
-    EXPECT_STREQ(to_string(Qp_backend::nnls), "nnls");
-    EXPECT_EQ(qp_backend_from_string("active-set"), Qp_backend::active_set);
-    EXPECT_EQ(qp_backend_from_string("auto"), Qp_backend::automatic);
-    EXPECT_THROW(qp_backend_from_string("simplex"), std::invalid_argument);
 }
 
 TEST(QpBackend, PreparedSolveMatchesColdDualSolve) {

@@ -576,44 +576,5 @@ TEST(QpDualWorkspace, RejectsAHessianOfTheWrongSize) {
                  std::invalid_argument);
 }
 
-// Random strictly convex positivity-only problem (x >= 0, no equalities).
-Qp_problem positivity_problem(std::size_t n, std::uint64_t seed) {
-    Rng rng(seed);
-    Matrix a(n + 3, n);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
-    Qp_problem p;
-    p.hessian = gram(a);
-    for (std::size_t i = 0; i < n; ++i) p.hessian(i, i) += 0.5;
-    p.gradient = rng.normal_vector(n);
-    p.eq_matrix = Matrix(0, n);
-    p.ineq_matrix = Matrix::identity(n);
-    p.ineq_rhs.assign(n, 0.0);
-    return p;
-}
-
-TEST(QpBackend, PreparedSolveMatchesColdDualSolve) {
-    // The shared-constraint preparation must not change results at all.
-    Rng rng(21);
-    const std::size_t n = 10;
-    Qp_problem p = positivity_problem(n, 17);
-    p.eq_matrix = Matrix(2, n);
-    for (std::size_t j = 0; j < n; ++j) {
-        p.eq_matrix(0, j) = 1.0;
-        p.eq_matrix(1, j) = static_cast<double>(j) / static_cast<double>(n);
-    }
-    p.eq_rhs = {1.0, 0.3};
-
-    const Qp_constraint_prep prep(n, p.eq_matrix, p.eq_rhs, p.ineq_matrix, p.ineq_rhs);
-    for (int trial = 0; trial < 4; ++trial) {
-        p.gradient = rng.normal_vector(n);
-        const Qp_result cold = solve_qp_dual(p);
-        const Qp_result warm = solve_qp_dual_prepared(p.hessian, p.gradient, prep);
-        ASSERT_EQ(cold.x.size(), warm.x.size());
-        for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(cold.x[i], warm.x[i]);
-        EXPECT_EQ(cold.active_set, warm.active_set);
-    }
-}
-
 }  // namespace
 }  // namespace cellsync
